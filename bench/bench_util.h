@@ -52,12 +52,19 @@ class BenchJsonWriter {
     records_.push_back(Record{name, label, ns_per_op, iterations, counters});
   }
 
+  /// Writes the sidecar. A run that recorded nothing (say, a filter that
+  /// selects only another sidecar's series) leaves any existing file as it
+  /// is rather than replacing it with an empty list.
   bool WriteFile() const {
     std::string dir = ".";
     if (const char* env = std::getenv("XK_BENCH_JSON_DIR"); env != nullptr) {
       dir = env;
     }
     const std::string path = dir + "/BENCH_" + bench_name_ + ".json";
+    if (records_.empty()) {
+      std::printf("BENCH json: nothing recorded, %s left as is\n", path.c_str());
+      return true;
+    }
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());

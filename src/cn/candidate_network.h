@@ -46,6 +46,8 @@ struct CandidateNetwork {
   std::vector<CnNode> nodes;
   std::vector<CnEdge> edges;
 
+  bool operator==(const CandidateNetwork&) const = default;
+
   /// The score of every MTNN this network produces (number of edges).
   int size() const { return static_cast<int>(edges.size()); }
   int num_nodes() const { return static_cast<int>(nodes.size()); }

@@ -36,6 +36,8 @@ struct Ctssn {
   /// this network produces.
   int cn_size = 0;
 
+  bool operator==(const Ctssn&) const = default;
+
   int num_nodes() const { return tree.num_nodes(); }
   bool IsFree(int node) const {
     return node_keywords[static_cast<size_t>(node)].empty();

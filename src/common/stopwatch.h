@@ -17,6 +17,11 @@ class Stopwatch {
 
   void Restart() { start_ = Clock::now(); }
 
+  int64_t ElapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - start_)
+        .count();
+  }
+
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start_)
         .count();

@@ -368,7 +368,7 @@ void ShardedEngine::RunShardedTopK(const PreparedQuery& query,
       return per_plan_stats[p].probes.rows_scanned - rows_before;
     };
     auto elapsed_ns = [&] {
-      return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
+      return static_cast<uint64_t>(plan_timer.ElapsedNanos());
     };
     const size_t limit = PlanResultCap(options, results.size());
     const int score = query.ctssns[p].cn_size;

@@ -798,7 +798,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
         return per_plan_stats[p].probes.rows_scanned - rows_before;
       };
       auto elapsed_ns = [&] {
-        return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
+        return static_cast<uint64_t>(plan_timer.ElapsedNanos());
       };
       const size_t limit = PlanResultCap(options, results.size());
 
@@ -856,7 +856,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
         return per_plan_stats[p].probes.rows_scanned - rows_before;
       };
       auto elapsed_ns = [&] {
-        return static_cast<uint64_t>(plan_timer.ElapsedMicros()) * 1000;
+        return static_cast<uint64_t>(plan_timer.ElapsedNanos());
       };
       size_t local_count = 0;
       auto emit = [&](const std::vector<storage::ObjectId>& objs) {

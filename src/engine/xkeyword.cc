@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "common/logging.h"
 #include "common/strings.h"
-#include "cn/ctssn.h"
 
 namespace xk::engine {
 
@@ -63,24 +61,13 @@ Result<PreparedQuery> XKeyword::Prepare(const std::vector<std::string>& keywords
     keyword_schema_nodes.push_back(data_->master_index.SchemaNodesContaining(k));
   }
 
-  // CN generation.
-  cn::CnGeneratorOptions gen_options;
-  gen_options.max_size = options.max_size_z;
-  cn::CnGenerator generator(schema_, gen_options);
-  XK_ASSIGN_OR_RETURN(std::vector<cn::CandidateNetwork> networks,
-                      generator.Generate(keyword_schema_nodes));
-
-  // Reduce each CN to its CTSSN; skip shapes the TSS graph cannot express.
-  for (cn::CandidateNetwork& network : networks) {
-    Result<cn::Ctssn> reduced = cn::ReduceToCtssn(network, *schema_, *tss_);
-    if (!reduced.ok()) {
-      XK_LOG(Debug) << "skipping CN (" << reduced.status().ToString()
-                    << "): " << network.ToString(*schema_);
-      continue;
-    }
-    q.networks.push_back(std::move(network));
-    q.ctssns.push_back(reduced.MoveValueUnsafe());
-  }
+  // CN generation + CTSSN reduction, shared across queries with the same
+  // per-keyword schema-node lists and Z.
+  XK_ASSIGN_OR_RETURN(
+      std::shared_ptr<const cn::CnTemplate> templ,
+      cn_templates_.Get(keyword_schema_nodes, options.max_size_z));
+  q.networks = templ->networks;
+  q.ctssns = templ->ctssns;
 
   // Keyword filter sets: (keyword, schema node) -> target object ids.
   for (const cn::Ctssn& ctssn : q.ctssns) {

@@ -23,7 +23,7 @@
 #include <memory>
 #include <string>
 
-#include "cn/cn_generator.h"
+#include "cn/cn_template_cache.h"
 #include "engine/expansion.h"
 #include "engine/full_executor.h"
 #include "engine/load_stage.h"
@@ -95,6 +95,12 @@ class XKeyword : public QueryEngine {
     return generation_.load(std::memory_order_acquire);
   }
 
+  /// Hits, misses, entries and bytes of the CN template cache
+  /// (cn/cn_template_cache.h) that Prepare draws its networks from.
+  cn::CnTemplateCache::Stats cn_template_stats() const {
+    return cn_templates_.stats();
+  }
+
   // --- Introspection (tests, benches, examples) -------------------------
 
   const LoadedData& data() const { return *data_; }
@@ -108,12 +114,18 @@ class XKeyword : public QueryEngine {
  private:
   XKeyword(const xml::XmlGraph* graph, const schema::SchemaGraph* schema,
            const schema::TssGraph* tss, std::unique_ptr<LoadedData> data)
-      : graph_(graph), schema_(schema), tss_(tss), data_(std::move(data)) {}
+      : graph_(graph),
+        schema_(schema),
+        tss_(tss),
+        data_(std::move(data)),
+        cn_templates_(schema, tss) {}
 
   const xml::XmlGraph* graph_;
   const schema::SchemaGraph* schema_;
   const schema::TssGraph* tss_;
   std::unique_ptr<LoadedData> data_;
+  // Schema-level CN templates; Prepare is const but fills the cache.
+  mutable cn::CnTemplateCache cn_templates_;
   std::map<std::string, decomp::Decomposition> decompositions_;
   std::atomic<uint64_t> generation_{1};
 };

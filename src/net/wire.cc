@@ -101,6 +101,9 @@ void PutStats(std::string* out, const engine::ExecutionStats& s) {
   PutU64(out, s.shard_fanout);
   PutU64(out, s.shard_bound_prunes);
   PutU64(out, s.shard_early_stops);
+  PutU64(out, s.page_hits);
+  PutU64(out, s.page_misses);
+  PutU64(out, s.page_read_bytes);
   PutU32(out, s.simd_isa);
 }
 
@@ -394,6 +397,9 @@ Result<FinalBody> DecodeFinalBody(std::span<const uint8_t> payload) {
   s.shard_fanout = r.GetU64();
   s.shard_bound_prunes = r.GetU64();
   s.shard_early_stops = r.GetU64();
+  s.page_hits = r.GetU64();
+  s.page_misses = r.GetU64();
+  s.page_read_bytes = r.GetU64();
   s.simd_isa = r.GetU32();
   body.tail_start = r.GetU64();
   body.response.mttons = r.GetMttons();

@@ -38,6 +38,8 @@ struct TssTree {
   std::vector<TssId> nodes;
   std::vector<TssTreeEdge> edges;
 
+  bool operator==(const TssTree&) const = default;
+
   int size() const { return static_cast<int>(edges.size()); }
   int num_nodes() const { return static_cast<int>(nodes.size()); }
 

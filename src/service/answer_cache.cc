@@ -1,6 +1,5 @@
 #include "service/answer_cache.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -9,15 +8,15 @@
 namespace xk::service {
 
 std::string AnswerCache::CanonicalKey(const engine::QueryRequest& request) {
-  // The keyword *bag*: order never affects the answer, multiplicity can
-  // (each keyword contributes its own filter set), so sort but keep
-  // duplicates. '\x1f' (unit separator) cannot appear in keywords coming
-  // from the master index's tokenizer, keeping the encoding unambiguous.
-  std::vector<std::string> keywords = request.keywords;
-  std::sort(keywords.begin(), keywords.end());
+  // The keyword list as given: the answer bytes depend on keyword order (CN
+  // annotations, and so the networks' order and each MTTON's objects, are
+  // keyword positions), and multiplicity matters too (each keyword
+  // contributes its own filter set). '\x1f' (unit separator) cannot appear
+  // in keywords coming from the master index's tokenizer, keeping the
+  // encoding unambiguous.
   std::string key;
-  key.reserve(64 + keywords.size() * 12);
-  for (const std::string& k : keywords) {
+  key.reserve(64 + request.keywords.size() * 12);
+  for (const std::string& k : request.keywords) {
     key += k;
     key += '\x1f';
   }

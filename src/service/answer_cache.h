@@ -8,10 +8,10 @@
 // materialized connection relations and partial-result cache (Section 6).
 //
 // Key canonicalization: two requests share an answer iff they ask the same
-// logical question. The key is built from the sorted keyword bag (keyword
-// order never affects results; duplicate keywords do), the decomposition,
-// the execution mode, and every option that shapes the result list (Z,
-// network-size bound, per-network and global k).
+// logical question. The key is built from the keyword list in the order
+// given (order changes the answer bytes, and duplicate keywords change the
+// answer), the decomposition, the execution mode, and every option that
+// shapes the result list (Z, network-size bound, per-network and global k).
 // Performance knobs (threads, morsel size, partial-result caching, Bloom
 // pruning) are excluded: PR 1 made results byte-identical across them.
 // Deadlines, cache_mode and the anytime budget knobs are excluded too — a

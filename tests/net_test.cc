@@ -118,6 +118,9 @@ TEST(WireTest, BatchAndFinalFrameRoundTrip) {
   response.stats.probes.probes = 100;
   response.stats.results = 3;
   response.stats.subplan_hits = 5;
+  response.stats.page_hits = 21;
+  response.stats.page_misses = 13;
+  response.stats.page_read_bytes = 13 * 8192;
 
   // tail_start = 2: the final frame ships only the last result.
   const std::string final_frame = EncodeFinalFrame(9, response, 2);
@@ -139,6 +142,9 @@ TEST(WireTest, BatchAndFinalFrameRoundTrip) {
   EXPECT_EQ(body.response.stats.probes.probes, 100u);
   EXPECT_EQ(body.response.stats.results, 3u);
   EXPECT_EQ(body.response.stats.subplan_hits, 5u);
+  EXPECT_EQ(body.response.stats.page_hits, 21u);
+  EXPECT_EQ(body.response.stats.page_misses, 13u);
+  EXPECT_EQ(body.response.stats.page_read_bytes, 13u * 8192);
 }
 
 TEST(WireTest, ErrorFrameRoundTrip) {
@@ -586,6 +592,43 @@ TEST_F(NetTest, ServerStopSeversLiveConnections) {
   }));
   EXPECT_TRUE(idle.ReadEvent().status().IsAborted());
   EXPECT_EQ(service_->metrics().Snapshot().peak_connections, 2);
+}
+
+// --- Disk backend: page counters reach the client ------------------------
+
+TEST(NetDiskBackendTest, PageCountersCrossTheWire) {
+  datagen::DblpConfig config;
+  config.num_conferences = 3;
+  config.years_per_conference = 3;
+  config.avg_papers_per_year = 8;
+  config.avg_citations_per_paper = 4.0;
+  config.author_vocab = 40;
+  config.title_vocab = 40;
+  config.seed = 2003;
+  auto db = datagen::DblpDatabase::Generate(config).MoveValueUnsafe();
+  storage::StorageOptions storage;
+  storage.backend = storage::StorageBackend::kDisk;
+  storage.buffer_pool_bytes = 2 * storage::kPageSize;  // every query misses
+  auto xk = engine::XKeyword::Load(&db->graph(), &db->schema(), &db->tss(),
+                                   storage)
+                .MoveValueUnsafe();
+  XK_ASSERT_OK(xk->AddDecomposition(
+      decomp::MakeXKeyword(db->tss(), /*B=*/2, /*M=*/4).MoveValueUnsafe()));
+  auto service = QueryService::Create(xk.get()).MoveValueUnsafe();
+  auto server = Server::Start(service.get()).MoveValueUnsafe();
+  Client client = Client::Connect(server->port()).MoveValueUnsafe();
+
+  QueryRequest request;
+  request.keywords = {"gray", "codd"};
+  request.decomposition = "XKeyword";
+  request.cache_mode = engine::CacheMode::kBypass;
+  request.options.max_size_z = 4;
+  XK_ASSERT_OK_AND_ASSIGN(const QueryResponse wire, client.Run(request));
+  ASSERT_TRUE(wire.status.ok()) << wire.status.ToString();
+  EXPECT_GT(wire.stats.page_misses, 0u);
+  EXPECT_GT(wire.stats.page_read_bytes, 0u);
+  EXPECT_EQ(wire.stats.page_read_bytes % storage::kPageSize, 0u);
+  server->Stop();
 }
 
 }  // namespace

@@ -287,6 +287,10 @@ TEST_F(ServiceTest, RunMatchesHelperWrapper) {
 TEST_F(ServiceTest, TinyDeadlineReturnsDeadlineExceededWithPartialStats) {
   QueryRequest request = Expensive();
   request.deadline = milliseconds(1);
+  // The deadline itself must trip. With anytime budgeting, an engine whose
+  // CN templates are already cached prepares well inside 1 ms and then
+  // skips the networks it cannot afford: kDegraded with an OK status.
+  request.options.enable_anytime = false;
   XK_ASSERT_OK_AND_ASSIGN(QueryResponse response, xk_->Run(request));
   EXPECT_TRUE(response.status.IsDeadlineExceeded()) << response.status.ToString();
   EXPECT_NE(response.completeness, Completeness::kComplete);
@@ -390,6 +394,39 @@ TEST_F(ServiceTest, ConcurrentSubmitsFromManyThreadsAreDeterministic) {
   EXPECT_GT(snap.per_decomposition.at("XKeyword").probes.probes, 0u);
 }
 
+TEST_F(ServiceTest, PermutedBagIsNotServedTheOtherOrdersAnswer) {
+  // The answer bytes depend on keyword order (CN annotations are keyword
+  // positions), so {a, b} followed by {b, a} must not be a cache hit: each
+  // order must match what the engine itself answers.
+  XK_ASSERT_OK_AND_ASSIGN(std::unique_ptr<QueryService> service,
+                          QueryService::Create(xk_, QueryServiceOptions{}));
+  const std::vector<std::vector<std::string>> bags = {
+      {"gray", "codd"}, {"ullman", "widom"}, {"garcia", "molina"},
+      {"author23", "author31"}, {"stonebraker", "date"}};
+  size_t order_sensitive = 0;
+  for (const auto& bag : bags) {
+    std::vector<QueryResponse> answers;
+    for (const std::vector<std::string>& keywords :
+         {bag, std::vector<std::string>{bag[1], bag[0]}}) {
+      QueryRequest request;
+      request.keywords = keywords;
+      request.decomposition = "XKeyword";
+      XK_ASSERT_OK_AND_ASSIGN(QueryHandle handle, service->Submit(request));
+      XK_ASSERT_OK_AND_ASSIGN(QueryResponse served, handle.Wait());
+      XK_ASSERT_OK_AND_ASSIGN(QueryResponse direct, xk_->Run(request));
+      EXPECT_EQ(served.status.code(), direct.status.code());
+      EXPECT_EQ(served.completeness, direct.completeness);
+      EXPECT_EQ(served.mttons, direct.mttons)
+          << keywords[0] << " " << keywords[1];
+      answers.push_back(std::move(served));
+    }
+    if (answers[0].mttons != answers[1].mttons) ++order_sensitive;
+  }
+  // The check only means something if some bag's two orders differ.
+  EXPECT_GT(order_sensitive, 0u);
+  EXPECT_EQ(service->metrics().Snapshot().cache_hits, 0u);
+}
+
 TEST_F(ServiceTest, SubplanCacheStatsFlowIntoMetrics) {
   QueryServiceOptions options;
   options.num_workers = 2;
@@ -475,6 +512,9 @@ TEST_F(ServiceTest, DeadlineExceededThroughServiceKeepsPartialStats) {
                           QueryService::Create(xk_, options));
   QueryRequest request = Expensive();
   request.deadline = milliseconds(1);
+  // As in TinyDeadlineReturnsDeadlineExceededWithPartialStats: the deadline
+  // itself must trip, so no anytime budgeting.
+  request.options.enable_anytime = false;
   XK_ASSERT_OK_AND_ASSIGN(QueryHandle handle, service->Submit(request));
   XK_ASSERT_OK_AND_ASSIGN(QueryResponse response, handle.Wait());
   EXPECT_TRUE(response.status.IsDeadlineExceeded()) << response.status.ToString();
