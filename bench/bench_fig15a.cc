@@ -7,8 +7,9 @@
 // Workload: DBLP, 2-keyword author queries, Z = 8 (paper Section 7).
 //
 // Two engine-side series beyond the paper's figure:
-//   Fig15aPar/*    — morsel-driven intra-plan parallelism (T = worker
-//                    threads), byte-identical results to T = 1;
+//   Fig15aPar/*    — partitioned plans (T = num_threads, morsels of the
+//                    step-0 driver rows in flight), byte-identical results
+//                    to T = 1;
 //   Fig15aPrune/*  — semi-join Bloom pruning on/off (rows_scanned drops,
 //                    bloom_skips counts rejected probes).
 
@@ -21,7 +22,7 @@ namespace {
 
 struct TopKSetup {
   std::string decomposition;
-  int intra_plan_threads = 1;
+  int num_threads = 1;
   bool semijoin_pruning = true;
   bool vectorized = true;
 };
@@ -37,12 +38,7 @@ void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
   // emit a few size-7 shapes from Z = 8 networks; they explode fruitlessly.)
   options.max_network_size = 6;
   options.per_network_k = k;
-  // Single-threaded across plans: the per-CN thread pool improves
-  // first-result latency on slow back ends; at in-memory microsecond scale,
-  // pool spawn would dominate the measurement. Intra-plan morsels share one
-  // pool per executor run instead.
-  options.num_threads = 1;
-  options.intra_plan_threads = setup.intra_plan_threads;
+  options.num_threads = setup.num_threads;
   options.enable_semijoin_pruning = setup.semijoin_pruning;
   options.vectorized = setup.vectorized;
 
@@ -93,14 +89,14 @@ void RegisterAll() {
     b->Iterations(3);
   }
 
-  // Morsel-driven intra-plan parallelism, deep per-network result streams
+  // Partitioned plans on T runners, deep per-network result streams
   // (big K keeps every plan busy long enough for the fan-out to pay off).
   for (const char* decomposition : {"MinClust", "MinNClustIndx"}) {
     auto* b = benchmark::RegisterBenchmark(
         (std::string("Fig15aPar/") + decomposition).c_str(),
         [decomposition](benchmark::State& state) {
           TopKSetup setup{decomposition};
-          setup.intra_plan_threads = static_cast<int>(state.range(0));
+          setup.num_threads = static_cast<int>(state.range(0));
           BM_TopK(state, setup, /*k=*/5000, decomposition);
         });
     b->ArgName("T");

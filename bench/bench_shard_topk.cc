@@ -10,17 +10,16 @@
 //                       driver slice, per query
 //
 // Series:
-//   ShardTopK/S:{1,2,4,8}        — the shard-count scaling curve at
-//                                  per_network_k = 100 (enumeration-heavy, so
-//                                  the scatter has parallel work to win on);
-//                                  S:1 is the single-engine serial baseline
-//                                  the others' qps is compared against.
-//   ShardPushdown/S:4/pd:{on,off} — watermark bound-pushdown A/B at
-//                                  per_network_k = 10: pd:on must examine
-//                                  measurably fewer rows per query.
+//   ShardTopK/S:{1,2,4,8} — the shard-count scaling curve at per_network_k =
+//                           100 (enumeration-heavy, so the partitions have
+//                           parallel work to win on), with num_threads = S:
+//                           every slice group of a plan in flight at once.
+//                           S:1 is the single-engine serial baseline the
+//                           others' qps is compared against.
 //
 // A summary table after the runs prints the speedup of each shard count over
-// S:1 and the pushdown row savings, and appends both to the JSON sidecar.
+// S:1 and appends it to the JSON sidecar. (The watermark is always on; its
+// last on/off A/B is EXPERIMENTS.md A9.)
 
 #include <benchmark/benchmark.h>
 
@@ -44,18 +43,17 @@ using xk::engine::QueryRequest;
 using xk::engine::QueryResponse;
 
 QueryRequest MakeRequest(const std::vector<std::string>& keywords,
-                         int num_shards, bool pushdown, size_t per_network_k) {
+                         int num_shards, size_t per_network_k) {
   QueryRequest request;
   request.keywords = keywords;
   request.decomposition = "XKeyword";
   request.mode = QueryMode::kTopK;
   request.options.max_size_z = 6;
   request.options.per_network_k = per_network_k;
-  // Serial inner execution: all parallelism in this bench comes from the
-  // scatter stage, so the S:1 arm is the single-engine serial baseline.
-  request.options.num_threads = 1;
+  // One runner per slice group; S:1 delegates to the single engine, which
+  // runs serially at one runner.
+  request.options.num_threads = num_shards;
   request.options.num_shards = num_shards;
-  request.options.shard_bound_pushdown = pushdown;
   return request;
 }
 
@@ -63,11 +61,10 @@ struct Point {
   double qps = 0;
   double rows_per_query = 0;
 };
-std::map<int, Point> g_scaling;          // shard count -> point
-std::map<bool, Point> g_pushdown;        // pushdown on/off -> point
+std::map<int, Point> g_scaling;  // shard count -> point
 
-void BM_ShardTopK(benchmark::State& state, int num_shards, bool pushdown,
-                  size_t per_network_k, bool scaling_series) {
+void BM_ShardTopK(benchmark::State& state, int num_shards,
+                  size_t per_network_k) {
   const auto& engine = ShardedDblpBench::Get().engine();
   const auto& queries = DblpBench::Get().queries();
 
@@ -77,7 +74,7 @@ void BM_ShardTopK(benchmark::State& state, int num_shards, bool pushdown,
   for (auto _ : state) {
     for (const auto& q : queries) {
       auto response =
-          engine.Run(MakeRequest(q, num_shards, pushdown, per_network_k));
+          engine.Run(MakeRequest(q, num_shards, per_network_k));
       XK_CHECK(response.ok());
       const QueryResponse& r = response.value();
       rows += r.stats.probes.rows_scanned;
@@ -111,11 +108,7 @@ void BM_ShardTopK(benchmark::State& state, int num_shards, bool pushdown,
   Point point;
   point.qps = seconds > 0 ? n / seconds : 0;
   point.rows_per_query = n > 0 ? static_cast<double>(rows) / n : 0;
-  if (scaling_series) {
-    g_scaling[num_shards] = point;
-  } else {
-    g_pushdown[pushdown] = point;
-  }
+  g_scaling[num_shards] = point;
 }
 
 void RegisterAll() {
@@ -123,19 +116,7 @@ void RegisterAll() {
     auto* b = benchmark::RegisterBenchmark(
         ("ShardTopK/S:" + std::to_string(shards)).c_str(),
         [shards](benchmark::State& state) {
-          BM_ShardTopK(state, shards, /*pushdown=*/true, /*per_network_k=*/100,
-                       /*scaling_series=*/true);
-        });
-    b->Unit(benchmark::kMillisecond);
-    b->UseRealTime();
-  }
-  for (bool pushdown : {true, false}) {
-    auto* b = benchmark::RegisterBenchmark(
-        (std::string("ShardPushdown/S:4/pd:") + (pushdown ? "on" : "off"))
-            .c_str(),
-        [pushdown](benchmark::State& state) {
-          BM_ShardTopK(state, /*num_shards=*/4, pushdown, /*per_network_k=*/10,
-                       /*scaling_series=*/false);
+          BM_ShardTopK(state, shards, /*per_network_k=*/100);
         });
     b->Unit(benchmark::kMillisecond);
     b->UseRealTime();
@@ -163,19 +144,6 @@ int main(int argc, char** argv) {
                        {{"speedup", speedup},
                         {"rows_per_query", p.rows_per_query}});
     }
-  }
-  if (g_pushdown.count(true) != 0 && g_pushdown.count(false) != 0 &&
-      g_pushdown[false].rows_per_query > 0) {
-    const double saved = 1.0 - g_pushdown[true].rows_per_query /
-                                   g_pushdown[false].rows_per_query;
-    std::printf("\nBound pushdown at 4 shards: %.0f rows/query -> %.0f "
-                "(%.1f%% fewer)\n",
-                g_pushdown[false].rows_per_query,
-                g_pushdown[true].rows_per_query, 100.0 * saved);
-    writer.AddRecord("ShardPushdownSavings/S:4", 0,
-                     {{"rows_saved_fraction", saved},
-                      {"rows_on", g_pushdown[true].rows_per_query},
-                      {"rows_off", g_pushdown[false].rows_per_query}});
   }
   writer.WriteFile();
   benchmark::Shutdown();

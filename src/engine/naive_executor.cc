@@ -12,8 +12,9 @@ Result<std::vector<present::Mtton>> NaiveExecutor::Run(const PreparedQuery& quer
                                                        ExecutionStats* stats,
                                                        Coverage* coverage) {
   // The naive algorithm is exactly the optimized one with the partial-result
-  // cache disabled and a single thread — every inner loop re-probes the
-  // relations ("it may send the same queries multiple times", Section 6).
+  // cache disabled, run inline on the calling thread — every inner loop
+  // re-probes the relations ("it may send the same queries multiple times",
+  // Section 6).
   QueryOptions naive = options;
   naive.enable_cache = false;
   naive.num_threads = 1;

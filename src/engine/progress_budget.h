@@ -16,8 +16,8 @@
 //    spend a fixed number of "expansions" where they are cheapest), which
 //    makes the coverage bound reproducible and provably monotone in the
 //    budget. Decisions for the whole schedule are taken up front (PreAdmit),
-//    so the multi-threaded plan pool sees the same admitted set as a serial
-//    run.
+//    so the admitted set depends only on the schedule, never on how a plan's
+//    partitions interleave.
 //  * wall-clock (a deadline armed on the cancel token) — admission compares
 //    each plan's predicted time (estimated_cost x an EWMA of observed
 //    ns-per-cost-unit, scaled by anytime_headroom) against the remaining
@@ -42,8 +42,8 @@
 
 namespace xk::engine {
 
-/// Shared scan-row allowance of one plan's evaluators (serial, morsel shards,
-/// or shard tasks). Thread-safe; consumption is approximate (evaluators batch
+/// Shared scan-row allowance of one plan's evaluators (one per partition
+/// runner). Thread-safe; consumption is approximate (evaluators batch
 /// their reports), which only ever lets a plan slightly overrun.
 class RowGate {
  public:

@@ -67,18 +67,14 @@ struct QueryOptions {
   /// Entries of the fixed-size cache; on overflow queries are re-sent.
   size_t cache_capacity = 1 << 16;
 
-  /// Threads of the per-CN thread pool.
-  int num_threads = 4;
-
-  /// Morsel-driven intra-plan parallelism: when > 1, the top-k executor runs
-  /// plans one at a time (smallest network first) and splits each plan's
-  /// step-0 driver matches into morsels fanned out over a work-stealing pool
-  /// of this many threads. Results are byte-identical to num_threads = 1
-  /// (morsels merge in driver order; a completed-prefix watermark implements
-  /// the per_network_k / global_k early stop). Use for queries dominated by
-  /// one large candidate network.
-  int intra_plan_threads = 1;
-  /// Step-0 driver rows per morsel.
+  /// Partitions of one plan in flight: the top-k plan loop runs each plan's
+  /// partitions (morsels of its step-0 driver rows, or the sharded engine's
+  /// slice groups) on up to this many runners — the calling thread plus
+  /// workers of the process-wide pool. 1 runs everything inline on the
+  /// calling thread. Plans themselves always run one at a time in schedule
+  /// order, so results are byte-identical for every value.
+  int num_threads = 1;
+  /// Step-0 driver rows per morsel (single engine, num_threads > 1).
   size_t morsel_size = 1024;
 
   /// Semi-join keyword pruning: intersect each step's keyword filter sets and
@@ -90,8 +86,8 @@ struct QueryOptions {
   /// Plan-DAG shared-subplan memoization: join prefixes common to several
   /// candidate networks (equal optimizer prefix signatures) execute once per
   /// query; the materialized prefix rows are replayed by every consuming
-  /// plan. Thread-safe (leader/follower) under both parallelism axes. Never
-  /// changes results: replay order equals the serial nested-loop order.
+  /// plan. Never changes results: replay order equals the serial
+  /// nested-loop order.
   bool enable_subplan_reuse = true;
   /// Byte budget of the per-query subplan materialization cache; productions
   /// that would exceed it abort and their consumers fall back to direct
@@ -120,18 +116,12 @@ struct QueryOptions {
   KernelDispatch kernel_dispatch = KernelDispatch::kAuto;
 
   /// Sharded data plane (engine::ShardedEngine only; the single-instance
-  /// XKeyword facade ignores these). Number of shard groups a query scatters
+  /// XKeyword facade ignores it). Number of shard groups a query scatters
   /// to: 1 = the degenerate single-shard path (byte-identical to XKeyword by
   /// construction), N > 1 groups the engine's loaded slices into at most N
-  /// contiguous target-object ID ranges, each evaluated by its own per-shard
-  /// executor. Results are byte-identical to num_shards = 1 for every value.
+  /// contiguous target-object ID ranges, one partition each. Results are
+  /// byte-identical to num_shards = 1 for every value.
   int num_shards = 1;
-  /// Threads of the scatter pool (0 = one thread per shard group).
-  int shard_parallelism = 0;
-  /// Push the gather stage's global k-th-position watermark back down to the
-  /// shards as a monotonically tightening bound for early termination. Never
-  /// changes results; kept as a knob so benches can A/B the savings.
-  bool shard_bound_pushdown = true;
 
   /// Full-result mode (QueryMode::kAll) only: join strategy.
   FullMode full_mode = FullMode::kAuto;
@@ -166,7 +156,7 @@ struct QueryOptions {
   uint64_t anytime_min_plan_rows = 4096;
 
   /// Cooperative cancellation/deadline token (not owned, may be null). The
-  /// executors poll it at plan, morsel, and probe granularity and return
+  /// executors poll it at plan, partition, and probe granularity and return
   /// whatever results were complete when it tripped. Installed by
   /// XKeyword::Run / the serving layer; leave null for unbounded queries.
   const CancelToken* cancel = nullptr;
@@ -184,18 +174,12 @@ struct QueryOptions {
     if (num_threads < 0) {
       return Status::InvalidArgument("num_threads must be >= 0");
     }
-    if (intra_plan_threads < 0) {
-      return Status::InvalidArgument("intra_plan_threads must be >= 0");
-    }
     if (enable_subplan_reuse && subplan_cache_budget_bytes == 0) {
       return Status::InvalidArgument(
           "enable_subplan_reuse requires subplan_cache_budget_bytes > 0");
     }
     if (num_shards < 1) {
       return Status::InvalidArgument("num_shards must be >= 1");
-    }
-    if (shard_parallelism < 0) {
-      return Status::InvalidArgument("shard_parallelism must be >= 0");
     }
     if (anytime_cost_budget < 0) {
       return Status::InvalidArgument("anytime_cost_budget must be >= 0");
@@ -259,10 +243,11 @@ struct ExecutionStats {
   uint64_t subplan_misses = 0;
   uint64_t subplan_bytes = 0;
   uint64_t dedup_saved_rows = 0;
-  /// Sharded scatter-gather (engine::ShardedEngine): shard tasks fanned out /
-  /// step-0 driver rows skipped because the gather watermark proved they
-  /// cannot reach the top-k / shard loops that terminated before exhausting
-  /// their driver slice (bound reached, local cap, or cancellation).
+  /// Partitioned gather of the top-k plan loop, counted for plans cut into
+  /// more than one partition (sharded slice groups, or morsels when
+  /// num_threads > 1): partitions gathered / driver items skipped because
+  /// the k-th-position watermark proved they cannot reach the top-k /
+  /// partitions that stopped before exhausting their items.
   uint64_t shard_fanout = 0;
   uint64_t shard_bound_prunes = 0;
   uint64_t shard_early_stops = 0;

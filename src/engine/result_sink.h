@@ -16,11 +16,11 @@
 // everything after a deadline/cancel stop — ride the final response instead.
 //
 // OnBatch may block (the network layer blocks it on a bounded per-connection
-// outbox for backpressure); it is called with the executor's result lock
-// held, so a stalled sink stalls only its own query, never the engine. It is
-// never called concurrently for one query. Engines that cannot prove
-// finalized prefixes (the sharded scatter-gather path, the naive and full
-// executors) simply never call it; the full response then arrives at once.
+// outbox for backpressure); it is called on the query's own plan-loop
+// thread, so a stalled sink stalls only its own query, never the engine. It
+// is never called concurrently for one query. The top-k plan loop streams for
+// both the single and the sharded engine; the naive and full executors never
+// call it, and their full response arrives at once.
 
 #ifndef XK_ENGINE_RESULT_SINK_H_
 #define XK_ENGINE_RESULT_SINK_H_

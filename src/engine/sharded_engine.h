@@ -2,23 +2,20 @@
 //
 // ShardedEngine: the scale-out data plane. Partitions the loaded instance by
 // target-object ID range into N shard slices (ShardLocalEngine) at load time;
-// each top-k query scatters its plans to per-shard executors running in
-// parallel on a thread pool and a gather stage merges the per-shard result
-// streams back into the serial order of the single-instance engine.
+// each query's plans are evaluated per slice group and merged back into the
+// serial order of the single-instance engine.
 //
 // Correctness oracle: for every option combination, results are byte-identical
 // to XKeyword::Run with the same options. The mechanism per mode:
 //
-//  * kTopK — each plan's step-0 driver matches are partitioned by anchor
-//    ownership; shards evaluate the global plan's continuations for their own
-//    driver rows and tag every result with its global driver-row position.
-//    The gather stage sorts the concatenated streams by position and keeps
-//    the first `limit` — exactly the serial nested-loop prefix. A shared
-//    watermark tracks the k-th smallest published position; since published
-//    results are a subset of the final stream, positions at or past the
-//    watermark can never enter the top k, so shards use it (pushed down via
-//    ShardBoundWatermark) to stop early. Plans run in the same plan-DAG
-//    schedule as the single engine, so global_k accounting matches.
+//  * kTopK — the shared top-k plan loop (RunTopKPlans) with a partitioner
+//    that cuts each plan's step-0 driver rows by anchor ownership, one
+//    partition per slice group. Every result is tagged with its global
+//    driver-row position; the loop's gather sorts by position and keeps the
+//    first `limit` — exactly the serial nested-loop prefix — and its
+//    k-th-position watermark stops partitions that can no longer contribute.
+//    Schedule, global_k accounting, anytime budget and streaming are the
+//    single engine's, because the loop is.
 //  * kAll — the complete output is order-insensitive before the final total
 //    sort, so shards run a hash join whose step-0 scan is shard-private (the
 //    anchor rows they own) and whose later scans are shared globals; the
@@ -26,7 +23,8 @@
 //  * kNaive and num_shards <= 1 delegate to the inner XKeyword unchanged —
 //    the degenerate single-shard case.
 //
-// Knobs: QueryOptions::{num_shards, shard_parallelism, shard_bound_pushdown}.
+// Knobs: QueryOptions::num_shards, plus num_threads for how many slice groups
+// run at once (on the process-wide pool).
 // The engine loads `ShardedEngineOptions::num_slices` physical slices once; a
 // query's num_shards groups them into at most that many contiguous ranges, so
 // one loaded engine serves every shard count up to num_slices.
@@ -64,10 +62,8 @@ class ShardedEngine : public QueryEngine {
   /// newly created connection relation across the slices.
   Status AddDecomposition(decomp::Decomposition d);
 
-  /// `sink` streams finalized prefixes only on the delegated single-shard /
-  /// kNaive path (the inner engine's streaming); the scattered paths cannot
-  /// prove finalized prefixes before the gather merge and ignore it — the
-  /// response is identical either way.
+  /// `sink` streams finalized top-k prefixes exactly as XKeyword::Run does;
+  /// kAll never streams. The response is identical either way.
   Result<QueryResponse> Run(const QueryRequest& request,
                             CancelToken* token = nullptr,
                             ResultSink* sink = nullptr) const override;
@@ -92,8 +88,6 @@ class ShardedEngine : public QueryEngine {
         shards_(std::move(shards)),
         sliced_(std::move(sliced)) {}
 
-  void RunShardedTopK(const PreparedQuery& query, const QueryOptions& options,
-                      int groups, QueryResponse* response) const;
   void RunShardedAll(const PreparedQuery& query, const QueryOptions& options,
                      int groups, QueryResponse* response) const;
 

@@ -1,12 +1,12 @@
 #include "engine/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+
 #include "common/logging.h"
 
 namespace xk::engine {
-
-namespace {
-thread_local int tls_worker_index = -1;
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   XK_CHECK_GT(num_threads, 0);
@@ -26,7 +26,11 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
-int ThreadPool::CurrentWorkerIndex() { return tls_worker_index; }
+ThreadPool& ThreadPool::Shared() {
+  static ThreadPool pool(
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
+  return pool;
+}
 
 void ThreadPool::Submit(std::function<void()> task) {
   {
@@ -66,7 +70,6 @@ bool ThreadPool::PopTask(int worker, std::function<void()>* task) {
 }
 
 void ThreadPool::WorkerLoop(int worker) {
-  tls_worker_index = worker;
   while (true) {
     std::function<void()> task;
     {
@@ -87,6 +90,47 @@ void ThreadPool::WorkerLoop(int worker) {
       if (pending_ == 0 && active_ == 0) idle_cv_.notify_all();
     }
   }
+}
+
+void ParallelFor(size_t n, int width,
+                 const std::function<void(size_t item, size_t runner)>& body) {
+  const size_t runners = std::min(n, static_cast<size_t>(std::max(width, 1)));
+  if (runners <= 1) {
+    for (size_t i = 0; i < n; ++i) body(i, 0);
+    return;
+  }
+  // Batch state outlives the call: a runner task still queued when the
+  // caller returns must find `closed` set and leave `body` (on the caller's
+  // stack) alone.
+  struct Batch {
+    std::mutex mutex;
+    std::condition_variable done;
+    int running = 0;
+    bool closed = false;
+    std::atomic<size_t> next{0};
+  };
+  auto batch = std::make_shared<Batch>();
+  auto run = [&body, n](Batch* b, size_t runner) {
+    for (size_t i = b->next.fetch_add(1); i < n; i = b->next.fetch_add(1)) {
+      body(i, runner);
+    }
+  };
+  for (size_t r = 1; r < runners; ++r) {
+    ThreadPool::Shared().Submit([batch, run, r] {
+      {
+        std::lock_guard<std::mutex> lock(batch->mutex);
+        if (batch->closed) return;
+        ++batch->running;
+      }
+      run(batch.get(), r);
+      std::lock_guard<std::mutex> lock(batch->mutex);
+      if (--batch->running == 0) batch->done.notify_all();
+    });
+  }
+  run(batch.get(), 0);
+  std::unique_lock<std::mutex> lock(batch->mutex);
+  batch->closed = true;
+  batch->done.wait(lock, [&] { return batch->running == 0; });
 }
 
 }  // namespace xk::engine

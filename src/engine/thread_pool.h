@@ -1,9 +1,9 @@
 // Copyright (c) the XKeyword authors.
 //
-// Work-stealing thread pool. Two uses in the engine: "a thread is assigned to
-// each CN starting from the smaller ones" (Section 6), and the morsel-driven
-// intra-plan parallelism of the top-k executor, where one large CTSSN plan is
-// split into driver morsels that idle workers steal. Tasks are submitted
+// Work-stealing thread pool. Two uses: the serving layer's query workers
+// (one pool per QueryService), and the process-wide pool behind ParallelFor,
+// on which the top-k plan loop runs the partitions of one plan and the
+// sharded full-result path runs its slice groups. Tasks are submitted
 // round-robin to per-worker deques; a worker drains its own deque FIFO and,
 // when empty, steals from the back of a sibling's deque.
 
@@ -11,6 +11,7 @@
 #define XK_ENGINE_THREAD_POOL_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -27,22 +28,18 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The process-wide pool, sized by hardware concurrency and created on
+  /// first use. Queries never create threads of their own.
+  static ThreadPool& Shared();
+
   /// Enqueues a task onto the next worker's deque (round-robin); idle workers
   /// steal it if its owner is busy.
   void Submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
   void Wait();
-  /// Alias of Wait(), matching the morsel scheduler's phrasing: the pool is
-  /// idle once all deques are empty and no task is running.
-  void WaitIdle() { Wait(); }
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
-
-  /// Index of the calling pool worker in [0, num_threads()), or -1 when the
-  /// caller is not a pool thread. Lets tasks maintain worker-local state
-  /// (e.g. the per-worker suffix caches of the morsel-driven evaluator).
-  static int CurrentWorkerIndex();
 
  private:
   void WorkerLoop(int worker);
@@ -60,6 +57,17 @@ class ThreadPool {
   int active_ = 0;
   bool shutdown_ = false;
 };
+
+/// Runs body(item, runner) for every item in [0, n), with up to `width`
+/// runners in flight: the calling thread is runner 0, and runners 1.. are
+/// tasks on ThreadPool::Shared(). Runners claim items in ascending order, one
+/// at a time, so per-runner state indexed by `runner` (< width) needs no
+/// locking. Returns once every item is done; the wait covers only this
+/// batch, and a runner task that starts after the caller finished the last
+/// item does nothing. With width <= 1 or n <= 1 everything runs inline and
+/// the shared pool is never touched.
+void ParallelFor(size_t n, int width,
+                 const std::function<void(size_t item, size_t runner)>& body);
 
 }  // namespace xk::engine
 

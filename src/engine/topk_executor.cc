@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <numeric>
+#include <iterator>
+#include <limits>
+#include <optional>
+#include <span>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -167,6 +170,8 @@ PlanEvaluator::PlanEvaluator(const PlanLayout* layout,
   caches_.resize(num_steps);
   binding_scratch_.resize(num_steps);
   row_scratch_.resize(num_steps);
+  rows_.resize(num_steps);
+  objs_.assign(plan_->node_source.size(), storage::kInvalidId);
   if (enable_cache_ && num_steps > 1) {
     size_t per_level = std::max<size_t>(cache_capacity / (num_steps - 1), 16);
     for (size_t i = 1; i < num_steps; ++i) {
@@ -304,76 +309,26 @@ bool PlanEvaluator::DistinctAcrossSegments(
   return true;
 }
 
-bool PlanEvaluator::EvalDriverRow(
-    storage::RowId r, std::vector<storage::TupleView>* rows,
-    std::vector<storage::ObjectId>* objs,
+bool PlanEvaluator::RunItem(
+    const PlanPartitions& work, size_t j,
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  const exec::JoinStep& step = plan_->query.steps[0];
-  (*rows)[0] = step.table->RowInto(r, &row_scratch_[0]);
-  for (const auto& [node, col] : layout_->nodes_at_[0]) {
-    (*objs)[static_cast<size_t>(node)] = (*rows)[0][static_cast<size_t>(col)];
-  }
-  return Eval(1, rows, objs, emit);
-}
-
-void PlanEvaluator::Run(
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;  // single-object plans handled elsewhere
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  Eval(0, &rows, &objs, emit);
-}
-
-void PlanEvaluator::RunMorsel(
-    std::span<const storage::RowId> driver_rows,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  for (storage::RowId r : driver_rows) {
-    if (!EvalDriverRow(r, &rows, &objs, emit)) return;
-  }
-}
-
-void PlanEvaluator::RunDriverRows(
-    std::span<const storage::RowId> driver_rows,
-    const std::function<bool(size_t)>& gate,
-    const std::function<bool(size_t, const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  for (size_t i = 0; i < driver_rows.size(); ++i) {
-    if (gate && !gate(i)) return;
-    auto indexed_emit = [&](const std::vector<storage::ObjectId>& o) {
-      return emit(i, o);
-    };
-    if (!EvalDriverRow(driver_rows[i], &rows, &objs, indexed_emit)) return;
-  }
-}
-
-void PlanEvaluator::RunReplay(
-    const exec::MaterializedSubplan& prefix, size_t begin, size_t end,
-    const std::function<bool(const std::vector<storage::ObjectId>&)>& emit) {
-  if (plan_->query.steps.empty()) return;
-  const size_t arity = static_cast<size_t>(prefix.arity());
-  XK_CHECK_LE(arity, plan_->query.steps.size());
-  std::vector<storage::TupleView> rows(plan_->query.steps.size());
-  std::vector<storage::ObjectId> objs(plan_->node_source.size(),
-                                      storage::kInvalidId);
-  for (size_t r = begin; r < end; ++r) {
-    for (size_t c = 0; c < arity; ++c) {
-      const exec::JoinStep& step = plan_->query.steps[c];
-      rows[c] =
-          step.table->RowInto(prefix.At(r, static_cast<int>(c)), &row_scratch_[c]);
-      for (const auto& [node, col] : layout_->nodes_at_[c]) {
-        objs[static_cast<size_t>(node)] = rows[c][static_cast<size_t>(col)];
-      }
+  // Steps bound by the item itself: every step of a replayed shared prefix,
+  // step 0 for a driver row, none when Eval scans the driver itself.
+  const size_t bound = work.prefix != nullptr
+                           ? static_cast<size_t>(work.prefix->arity())
+                           : (work.scan_driver ? 0 : 1);
+  XK_CHECK_LE(bound, plan_->query.steps.size());
+  for (size_t c = 0; c < bound; ++c) {
+    const exec::JoinStep& step = plan_->query.steps[c];
+    const storage::RowId r = work.prefix != nullptr
+                                 ? work.prefix->At(j, static_cast<int>(c))
+                                 : work.driver[j];
+    rows_[c] = step.table->RowInto(r, &row_scratch_[c]);
+    for (const auto& [node, col] : layout_->nodes_at_[c]) {
+      objs_[static_cast<size_t>(node)] = rows_[c][static_cast<size_t>(col)];
     }
-    if (!Eval(arity, &rows, &objs, emit)) return;
   }
+  return Eval(bound, &rows_, &objs_, emit);
 }
 
 std::vector<storage::RowId> EnumerateDriverMatches(const PlanLayout& layout,
@@ -499,18 +454,6 @@ void EvaluateSingleObjectPlan(
   }
 }
 
-// --- TopKExecutor --------------------------------------------------------
-
-/// Serial-order cap on one plan's output: the first `limit` results in
-/// driver/nested-loop order, matching the single-threaded emit semantics
-/// (per_network_k = 0 behaves like 1: the emit that trips the cap is kept).
-size_t PlanResultCap(const QueryOptions& options, size_t results_so_far) {
-  size_t cap = std::max<size_t>(options.per_network_k, 1);
-  if (options.global_k != 0) {
-    cap = std::min(cap, options.global_k - results_so_far);
-  }
-  return cap;
-}
 
 void SortMttons(std::vector<present::Mtton>* results) {
   std::stable_sort(results->begin(), results->end(),
@@ -523,139 +466,146 @@ void SortMttons(std::vector<present::Mtton>* results) {
                    });
 }
 
+// --- The plan loop -------------------------------------------------------
+
 namespace {
 
-/// Morsel-parallel evaluation of one multi-step plan: partitions the driver
-/// matches, fans the continuations out over `pool`, and appends the first
-/// `limit` results (in serial order) to `out`. Worker-local evaluator shards
-/// carry their own suffix caches and stats; a completed-prefix watermark
-/// cancels morsels that can no longer contribute.
-void RunPlanMorsels(const PlanLayout& layout, const PreparedQuery& query,
-                    const QueryOptions& options,
-                    const exec::ExecOptions& exec_options, size_t plan_index,
-                    size_t limit, ThreadPool* pool,
-                    std::vector<present::Mtton>* out,
-                    ExecutionStats* plan_stats,
-                    const exec::MaterializedSubplan* prefix, RowGate* gate) {
-  const CancelToken* cancel = options.cancel;
-  // The morsel-partitioned work items: materialized prefix rows when a shared
-  // subplan is available (its step-0.. bindings replay instead of probing),
-  // step-0 driver matches otherwise. Both are in serial enumeration order, so
-  // morsel merge order — and thus output — is identical either way.
-  std::vector<storage::RowId> driver;
-  size_t num_items;
-  if (prefix != nullptr) {
-    num_items = prefix->num_rows();
-  } else {
-    driver = EnumerateDriverMatches(layout, exec_options, plan_stats);
-    num_items = driver.size();
+/// Serial-order cap on one plan's output given the results accumulated by the
+/// plans scheduled before it: the first `cap` results in driver/nested-loop
+/// order (per_network_k = 0 behaves like 1: the emit that trips the cap is
+/// kept).
+size_t PlanResultCap(const QueryOptions& options, size_t results_so_far) {
+  size_t cap = std::max<size_t>(options.per_network_k, 1);
+  if (options.global_k != 0) {
+    cap = std::min(cap, options.global_k - results_so_far);
   }
-  const int score = query.ctssns[plan_index].cn_size;
+  return cap;
+}
 
-  const size_t morsel = std::max<size_t>(options.morsel_size, 1);
-  const size_t num_morsels = (num_items + morsel - 1) / morsel;
+/// The k-th-position watermark the partitions of one plan share. Each
+/// finished item publishes its serial position once per result it produced;
+/// the bound is the k-th smallest published position once k results exist.
+/// Published results are a subset of the plan's full result stream, so the
+/// bound only ever overestimates the final k-th position: an item at
+/// position >= bound already has `limit` results strictly preceding it in
+/// serial order and can never reach the top k.
+class ShardBoundWatermark {
+ public:
+  explicit ShardBoundWatermark(size_t limit) : limit_(limit) {}
 
-  auto append = [&](const std::vector<storage::ObjectId>& objs) {
-    out->push_back(present::Mtton{static_cast<int>(plan_index), objs, score});
-  };
+  /// Publishes `count` results at `position`.
+  void Publish(uint64_t position, size_t count) {
+    if (count == 0 || Prunes(position)) return;  // cannot tighten the bound
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (size_t i = 0; i < count; ++i) {
+      if (heap_.size() < limit_) {
+        heap_.push_back(position);
+        std::push_heap(heap_.begin(), heap_.end());
+      } else if (position < heap_.front()) {
+        std::pop_heap(heap_.begin(), heap_.end());
+        heap_.back() = position;
+        std::push_heap(heap_.begin(), heap_.end());
+      } else {
+        break;
+      }
+    }
+    if (heap_.size() == limit_) {
+      bound_.store(heap_.front(), std::memory_order_release);
+    }
+  }
 
-  if (num_morsels <= 1 || pool == nullptr || pool->num_threads() <= 1) {
-    PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
-                            options.cache_capacity);
-    evaluator.set_row_gate(gate);
-    size_t taken = 0;
-    auto sink = [&](const std::vector<storage::ObjectId>& objs) {
-      append(objs);
-      return ++taken < limit;
+  /// Whether a result at `position` can no longer enter the top `limit`.
+  bool Prunes(uint64_t position) const {
+    return position >= bound_.load(std::memory_order_acquire);
+  }
+
+ private:
+  const size_t limit_;
+  std::mutex mutex_;
+  std::vector<uint64_t> heap_;  // max-heap of the `limit_` smallest positions
+  std::atomic<uint64_t> bound_{std::numeric_limits<uint64_t>::max()};
+};
+
+/// One partition's output: position-tagged results plus gather counters.
+struct PartitionOut {
+  std::vector<std::pair<uint64_t, std::vector<storage::ObjectId>>> rows;
+  uint64_t prunes = 0;      // items skipped via the watermark
+  bool early_stop = false;  // stopped before exhausting its items
+};
+
+/// Evaluates partition `part` of `work`, keeping at most `limit` results and
+/// stopping once `watermark` (nullable) proves the remaining items cannot
+/// reach the plan's first `limit` results. A cancel or dry row gate also
+/// stops it; the plan loop reports that as an interruption.
+void RunPartition(const PlanPartitions& work, size_t part, size_t limit,
+                  ShardBoundWatermark* watermark, PlanEvaluator* evaluator,
+                  PartitionOut* out) {
+  const size_t end = work.bounds[part + 1];
+  for (size_t j = work.bounds[part]; j < end; ++j) {
+    const uint64_t position = work.Position(j);
+    if (watermark != nullptr && watermark->Prunes(position)) {
+      out->prunes += end - j;
+      out->early_stop = true;
+      return;
+    }
+    const size_t before = out->rows.size();
+    auto emit = [&](const std::vector<storage::ObjectId>& objs) {
+      out->rows.emplace_back(position, objs);
+      return out->rows.size() < limit &&
+             !(watermark != nullptr && watermark->Prunes(position));
     };
-    if (prefix != nullptr) {
-      evaluator.RunReplay(*prefix, 0, num_items, sink);
-    } else {
-      evaluator.RunMorsel(std::span<const storage::RowId>(driver), sink);
+    const bool finished = evaluator->RunItem(work, j, emit);
+    // One publication per item keeps the lock off the per-result path.
+    if (watermark != nullptr) {
+      watermark->Publish(position, out->rows.size() - before);
     }
-    plan_stats->Add(evaluator.stats());
-    return;
-  }
-
-  std::vector<std::unique_ptr<PlanEvaluator>> shards(
-      static_cast<size_t>(pool->num_threads()));
-  for (auto& shard : shards) {
-    shard = std::make_unique<PlanEvaluator>(&layout, exec_options,
-                                            options.enable_cache,
-                                            options.cache_capacity);
-    shard->set_row_gate(gate);
-  }
-
-  // Per-morsel output slots, merged in morsel order afterwards. `cancelled`
-  // trips once the contiguous prefix of completed morsels already holds
-  // `limit` results — later morsels can never contribute to the first
-  // `limit` results in serial order.
-  std::vector<std::vector<std::vector<storage::ObjectId>>> morsel_out(num_morsels);
-  std::vector<uint8_t> morsel_done(num_morsels, 0);
-  // Buffer-pool traffic per worker thread: each morsel drains its thread's
-  // counters into its worker's slot (only that thread writes the slot), so
-  // disk reads done on pool threads still land in the query's stats.
-  std::vector<ExecutionStats> worker_page_stats(shards.size());
-  std::atomic<bool> cancelled{false};
-  std::mutex watermark_mutex;
-  size_t prefix_done = 0;
-  size_t prefix_results = 0;
-
-  for (size_t m = 0; m < num_morsels; ++m) {
-    pool->Submit([&, m] {
-      if (!cancelled.load(std::memory_order_acquire) &&
-          !(cancel != nullptr && cancel->StopRequested())) {
-        const int worker = ThreadPool::CurrentWorkerIndex();
-        XK_CHECK_GE(worker, 0);
-        std::vector<std::vector<storage::ObjectId>>& slot = morsel_out[m];
-        const size_t begin = m * morsel;
-        const size_t count = std::min(morsel, num_items - begin);
-        auto sink = [&](const std::vector<storage::ObjectId>& objs) {
-          slot.push_back(objs);
-          return slot.size() < limit &&
-                 !cancelled.load(std::memory_order_relaxed);
-        };
-        if (prefix != nullptr) {
-          shards[static_cast<size_t>(worker)]->RunReplay(*prefix, begin,
-                                                         begin + count, sink);
-        } else {
-          shards[static_cast<size_t>(worker)]->RunMorsel(
-              std::span<const storage::RowId>(driver.data() + begin, count),
-              sink);
-        }
-        DrainPageCounters(&worker_page_stats[static_cast<size_t>(worker)]);
-      }
-      std::lock_guard<std::mutex> lock(watermark_mutex);
-      morsel_done[m] = 1;
-      while (prefix_done < num_morsels && morsel_done[prefix_done] != 0) {
-        prefix_results += morsel_out[prefix_done].size();
-        ++prefix_done;
-      }
-      if (prefix_results >= limit) {
-        cancelled.store(true, std::memory_order_release);
-      }
-    });
-  }
-  pool->WaitIdle();
-
-  size_t taken = 0;
-  for (size_t m = 0; m < num_morsels && taken < limit; ++m) {
-    for (const std::vector<storage::ObjectId>& objs : morsel_out[m]) {
-      append(objs);
-      if (++taken == limit) break;
+    if (finished) continue;
+    if (out->rows.size() >= limit) {
+      out->early_stop = j + 1 < end;
+      return;
     }
+    // The watermark cut this item short: the next iteration counts the
+    // pruned remainder. Anything else was a cancel or a dry row gate.
+    if (watermark == nullptr || !watermark->Prunes(position)) return;
   }
-  for (const auto& shard : shards) plan_stats->Add(shard->stats());
-  for (const ExecutionStats& s : worker_page_stats) plan_stats->Add(s);
 }
 
 }  // namespace
 
-Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query,
-                                                      const QueryOptions& options,
-                                                      ExecutionStats* stats,
-                                                      Coverage* coverage,
-                                                      ResultSink* sink) {
+PlanPartitions MorselPartitioner::Cut(const PlanLayout& layout,
+                                      const QueryOptions& options,
+                                      const exec::ExecOptions& exec_options,
+                                      const exec::MaterializedSubplan* prefix,
+                                      ExecutionStats* stats) const {
+  PlanPartitions work;
+  work.prefix = prefix;
+  if (options.num_threads <= 1 && prefix == nullptr) {
+    work.scan_driver = true;
+    work.bounds = {0, 1};
+    return work;
+  }
+  size_t items;
+  if (prefix != nullptr) {
+    items = prefix->num_rows();
+  } else {
+    work.driver = EnumerateDriverMatches(layout, exec_options, stats);
+    items = work.driver.size();
+  }
+  const size_t morsel = options.num_threads <= 1
+                            ? std::max<size_t>(items, 1)
+                            : std::max<size_t>(options.morsel_size, 1);
+  for (size_t begin = 0; begin < items; begin += morsel) {
+    work.bounds.push_back(begin);
+  }
+  work.bounds.push_back(items);
+  return work;
+}
+
+std::vector<present::Mtton> RunTopKPlans(const PreparedQuery& query,
+                                         const QueryOptions& options,
+                                         const PlanPartitioner& partitioner,
+                                         ExecutionStats* stats, Coverage* coverage,
+                                         ResultSink* sink) {
   std::vector<present::Mtton> results;
   std::vector<ExecutionStats> per_plan_stats(query.plans.size());
   BloomCache bloom_cache;
@@ -672,10 +622,6 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   exec_options.force_scalar_kernels =
       options.kernel_dispatch == KernelDispatch::kForceScalar;
 
-  auto skip_plan = [&](size_t p) {
-    return options.max_network_size > 0 &&
-           query.ctssns[p].tree.size() > options.max_network_size;
-  };
   auto stop_requested = [&] {
     return cancel != nullptr && cancel->StopRequested();
   };
@@ -684,19 +630,21 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   // answer first and rank higher — cost-ordered inside a size class) plus the
   // shared join prefixes among the plans that will actually run.
   std::vector<bool> active(query.plans.size());
-  for (size_t p = 0; p < query.plans.size(); ++p) active[p] = !skip_plan(p);
+  for (size_t p = 0; p < query.plans.size(); ++p) {
+    active[p] = options.max_network_size <= 0 ||
+                query.ctssns[p].tree.size() <= options.max_network_size;
+  }
   opt::PlanDagOptions dag_options;
   dag_options.cost_ordered = options.cost_ordered_scheduling;
   dag_options.share_subplans = options.enable_subplan_reuse;
   const opt::PlanDag dag = opt::BuildPlanDag(query.plans, active, dag_options);
-  const std::vector<size_t>& order = dag.schedule;
 
   // Anytime budget + per-plan outcome ledger. With no cost budget and no
   // armed deadline (or enable_anytime off) every plan is admitted and the
   // run is byte-identical to the pre-anytime engine; the ledger then only
   // backs the coverage report.
   ProgressBudget budget(query, active, options);
-  budget.PreAdmit(order);
+  budget.PreAdmit(dag.schedule);
 
   // Finalized-prefix streaming (engine/result_sink.h): per CN size class, the
   // number of scheduled plans that can still append results. When a plan is
@@ -705,8 +653,7 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   // score <= W are final and their sorted form is the prefix of the eventual
   // response, so the delta past what was already streamed goes to the sink.
   // Plans left unvisited by a global stop never decrement: the watermark
-  // simply stalls and the tail rides the final response. Callers must hold
-  // the results lock on the concurrent path.
+  // simply stalls and the tail rides the final response.
   std::map<int, size_t> stream_pending;
   size_t streamed = 0;
   if (sink != nullptr) {
@@ -738,14 +685,15 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
   };
 
   std::unique_ptr<opt::SubplanCache> subplan_cache;
-  if (options.enable_subplan_reuse && !dag.subplans.empty()) {
+  if (partitioner.replays_prefixes() && options.enable_subplan_reuse &&
+      !dag.subplans.empty()) {
     subplan_cache =
         std::make_unique<opt::SubplanCache>(options.subplan_cache_budget_bytes);
   }
 
-  // The materialized prefix assigned to plan `p`, producing it (leader) or
-  // waiting on a concurrent producer as needed; nullptr when the plan has no
-  // shared prefix or the production failed (fall back to direct execution).
+  // The materialized prefix assigned to plan `p`, produced on first use;
+  // nullptr when the plan has no shared prefix or the production failed
+  // (fall back to direct execution).
   auto acquire_prefix = [&](size_t p, const PlanLayout& layout)
       -> opt::SubplanCache::SubplanPtr {
     if (subplan_cache == nullptr || dag.shared_subplan[p] < 0) return nullptr;
@@ -776,150 +724,108 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
         dag.subplans[static_cast<size_t>(dag.shared_subplan[p])].signature);
   };
 
-  if (options.intra_plan_threads > 1) {
-    // Morsel-driven: plans run serially smallest-first; each multi-step plan
-    // fans its driver morsels out over the pool. Output and early-stop
-    // semantics are byte-identical to the single-threaded path.
-    std::unique_ptr<ThreadPool> pool;
-    for (size_t p : order) {
-      if (stop_requested()) break;  // unvisited plans stay "skipped"
-      if (skip_plan(p)) continue;
-      if (options.global_k != 0 && results.size() >= options.global_k) {
-        budget.MarkUnreachedComplete();
-        break;
-      }
-      if (!budget.AdmitPlan(p)) {  // skip whole CN, try the next
-        stream_plan_done(p);
-        continue;
-      }
-      Stopwatch plan_timer;
-      const uint64_t rows_before = per_plan_stats[p].probes.rows_scanned;
-      auto rows_scanned = [&] {
-        return per_plan_stats[p].probes.rows_scanned - rows_before;
-      };
-      auto elapsed_ns = [&] {
-        return static_cast<uint64_t>(plan_timer.ElapsedNanos());
-      };
-      const size_t limit = PlanResultCap(options, results.size());
-
-      if (query.plans[p].query.steps.empty()) {
-        size_t taken = 0;
-        EvaluateSingleObjectPlan(
-            query, p,
-            [&](const std::vector<storage::ObjectId>& objs) {
-              results.push_back(present::Mtton{static_cast<int>(p), objs,
-                                               query.ctssns[p].cn_size});
-              return ++taken < limit;
-            },
-            &per_plan_stats[p]);
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-        stream_plan_done(p);
-        continue;
-      }
-
-      PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
-                        bloom_cache_ptr, &per_plan_stats[p]);
-      opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
-      if (pool == nullptr) {
-        pool = std::make_unique<ThreadPool>(options.intra_plan_threads);
-      }
-      std::shared_ptr<RowGate> gate = budget.MakeRowGate();
-      RunPlanMorsels(layout, query, options, exec_options, p, limit, pool.get(),
-                     &results, &per_plan_stats[p], prefix.get(), gate.get());
-      release_prefix(p);
-      if (stop_requested() || (gate != nullptr && gate->Exhausted())) {
-        budget.OnPlanInterrupted(p);
-      } else {
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-      }
-      stream_plan_done(p);
-    }
-  } else {
-    std::mutex mutex;
-    std::atomic<bool> global_stop{false};
-
-    auto run_plan = [&](size_t p) {
-      // Order matters for the coverage ledger: a global-k stop leaves the
-      // plan to MarkUnreachedComplete below (the answer needs nothing from
-      // it); a deadline/cancel stop leaves it "skipped".
-      if (global_stop.load(std::memory_order_relaxed)) return;
-      if (stop_requested()) return;
-      if (skip_plan(p)) return;
-      if (!budget.AdmitPlan(p)) {  // skip whole CN, try the next
-        std::lock_guard<std::mutex> lock(mutex);
-        stream_plan_done(p);
-        return;
-      }
-      Stopwatch plan_timer;
-      const uint64_t rows_before = per_plan_stats[p].probes.rows_scanned;
-      auto rows_scanned = [&] {
-        return per_plan_stats[p].probes.rows_scanned - rows_before;
-      };
-      auto elapsed_ns = [&] {
-        return static_cast<uint64_t>(plan_timer.ElapsedNanos());
-      };
-      size_t local_count = 0;
-      auto emit = [&](const std::vector<storage::ObjectId>& objs) {
-        std::lock_guard<std::mutex> lock(mutex);
-        results.push_back(present::Mtton{static_cast<int>(p), objs,
-                                         query.ctssns[p].cn_size});
-        ++local_count;
-        if (options.global_k != 0 && results.size() >= options.global_k) {
-          global_stop.store(true, std::memory_order_relaxed);
-          return false;
-        }
-        return local_count < options.per_network_k &&
-               !global_stop.load(std::memory_order_relaxed);
-      };
-
-      if (query.plans[p].query.steps.empty()) {
-        EvaluateSingleObjectPlan(query, p, emit, &per_plan_stats[p]);
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-        DrainPageCounters(&per_plan_stats[p]);
-        std::lock_guard<std::mutex> lock(mutex);
-        stream_plan_done(p);
-        return;
-      }
-      PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
-                        bloom_cache_ptr, &per_plan_stats[p]);
-      opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
-      std::shared_ptr<RowGate> gate = budget.MakeRowGate();
-      PlanEvaluator evaluator(&layout, exec_options, options.enable_cache,
-                              options.cache_capacity);
-      evaluator.set_row_gate(gate.get());
-      if (prefix != nullptr) {
-        evaluator.RunReplay(*prefix, 0, prefix->num_rows(), emit);
-      } else {
-        evaluator.Run(emit);
-      }
-      per_plan_stats[p].Add(evaluator.stats());
-      release_prefix(p);
-      // A sink decline (per-network-k / global-k) is a complete outcome; only
-      // a deadline/cancel trip or a dry row gate marks the plan interrupted.
-      if (stop_requested() || (gate != nullptr && gate->Exhausted())) {
-        budget.OnPlanInterrupted(p);
-      } else {
-        budget.OnPlanComplete(p, rows_scanned(), elapsed_ns());
-      }
-      // Attribute this pool thread's page traffic to the plan it just ran
-      // (each plan executes on exactly one thread, so the slot is private).
-      DrainPageCounters(&per_plan_stats[p]);
-      std::lock_guard<std::mutex> lock(mutex);
-      stream_plan_done(p);
-    };
-
-    if (options.num_threads <= 1 || query.plans.size() <= 1) {
-      for (size_t p : order) run_plan(p);
-    } else {
-      ThreadPool pool(options.num_threads);
-      for (size_t p : order) {
-        pool.Submit([&run_plan, p] { run_plan(p); });
-      }
-      pool.Wait();
-    }
-    if (global_stop.load(std::memory_order_relaxed) && !stop_requested()) {
+  for (size_t p : dag.schedule) {
+    if (stop_requested()) break;  // unvisited plans stay "skipped"
+    if (!active[p]) continue;
+    if (options.global_k != 0 && results.size() >= options.global_k) {
+      // The answer needs nothing from the plans not yet visited.
       budget.MarkUnreachedComplete();
+      break;
     }
+    if (!budget.AdmitPlan(p)) {  // skip whole CN, try the next
+      stream_plan_done(p);
+      continue;
+    }
+    Stopwatch plan_timer;
+    ExecutionStats& plan_stats = per_plan_stats[p];
+    const uint64_t rows_before = plan_stats.probes.rows_scanned;
+    const size_t limit = PlanResultCap(options, results.size());
+    const int score = query.ctssns[p].cn_size;
+    bool interrupted = false;
+
+    if (query.plans[p].query.steps.empty()) {
+      size_t taken = 0;
+      EvaluateSingleObjectPlan(
+          query, p,
+          [&](const std::vector<storage::ObjectId>& objs) {
+            results.push_back(present::Mtton{static_cast<int>(p), objs, score});
+            return ++taken < limit;
+          },
+          &plan_stats);
+    } else {
+      PlanLayout layout(&query.plans[p], options.enable_semijoin_pruning,
+                        bloom_cache_ptr, &plan_stats);
+      opt::SubplanCache::SubplanPtr prefix = acquire_prefix(p, layout);
+      const PlanPartitions work = partitioner.Cut(layout, options, exec_options,
+                                                  prefix.get(), &plan_stats);
+      const size_t parts = work.num_partitions();
+      std::optional<ShardBoundWatermark> watermark;
+      if (parts > 1) watermark.emplace(limit);
+      std::shared_ptr<RowGate> gate = budget.MakeRowGate();
+
+      // Runners: each owns an evaluator (suffix caches and stats) and a slot
+      // for the buffer-pool traffic of the thread it runs on.
+      const size_t runners = std::min<size_t>(std::max(options.num_threads, 1),
+                                              std::max<size_t>(parts, 1));
+      std::vector<std::unique_ptr<PlanEvaluator>> evaluators(runners);
+      std::vector<ExecutionStats> runner_pages(runners);
+      std::vector<PartitionOut> outs(parts);
+      ParallelFor(parts, options.num_threads, [&](size_t part, size_t runner) {
+        std::unique_ptr<PlanEvaluator>& evaluator = evaluators[runner];
+        if (evaluator == nullptr) {
+          evaluator = std::make_unique<PlanEvaluator>(
+              &layout, exec_options, options.enable_cache, options.cache_capacity);
+          evaluator->set_row_gate(gate.get());
+        }
+        if (!stop_requested()) {
+          RunPartition(work, part, limit, watermark ? &*watermark : nullptr,
+                       evaluator.get(), &outs[part]);
+        }
+        DrainPageCounters(&runner_pages[runner]);
+      });
+      for (size_t r = 0; r < runners; ++r) {
+        if (evaluators[r] != nullptr) plan_stats.Add(evaluators[r]->stats());
+        plan_stats.Add(runner_pages[r]);
+      }
+      release_prefix(p);
+
+      // Gather: ascending serial position reconstructs the serial
+      // enumeration order (stable — the results of one item live in one
+      // partition, in emission order); the first `limit` are the serial
+      // prefix.
+      std::vector<std::pair<uint64_t, std::vector<storage::ObjectId>>> gathered;
+      for (PartitionOut& out : outs) {
+        gathered.insert(gathered.end(), std::make_move_iterator(out.rows.begin()),
+                        std::make_move_iterator(out.rows.end()));
+      }
+      if (parts > 1) {
+        std::stable_sort(gathered.begin(), gathered.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first < b.first;
+                         });
+        plan_stats.shard_fanout += parts;
+        for (const PartitionOut& out : outs) {
+          plan_stats.shard_bound_prunes += out.prunes;
+          if (out.early_stop) ++plan_stats.shard_early_stops;
+        }
+      }
+      gathered.resize(std::min(limit, gathered.size()));
+      for (auto& [position, objs] : gathered) {
+        results.push_back(
+            present::Mtton{static_cast<int>(p), std::move(objs), score});
+      }
+      // A result cap is a complete outcome; only a deadline/cancel trip or a
+      // dry row gate marks the plan interrupted.
+      interrupted = stop_requested() || (gate != nullptr && gate->Exhausted());
+    }
+
+    if (interrupted) {
+      budget.OnPlanInterrupted(p);
+    } else {
+      budget.OnPlanComplete(p, plan_stats.probes.rows_scanned - rows_before,
+                            static_cast<uint64_t>(plan_timer.ElapsedNanos()));
+    }
+    stream_plan_done(p);
   }
 
   SortMttons(&results);
@@ -940,6 +846,14 @@ Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query
     stats->results = results.size();
   }
   return results;
+}
+
+Result<std::vector<present::Mtton>> TopKExecutor::Run(const PreparedQuery& query,
+                                                      const QueryOptions& options,
+                                                      ExecutionStats* stats,
+                                                      Coverage* coverage,
+                                                      ResultSink* sink) {
+  return RunTopKPlans(query, options, MorselPartitioner(), stats, coverage, sink);
 }
 
 }  // namespace xk::engine

@@ -6,14 +6,14 @@
 // executed since it will produce the same results as before". Disabling the
 // cache yields the naive algorithm of DISCOVER/DBXplorer (naive_executor.h).
 //
-// Two parallelism axes:
-//  * across plans — one thread per candidate network, smallest first
-//    (the paper's thread pool);
-//  * within a plan — morsel-driven: the step-0 driver matches are split into
-//    fixed-size morsels fanned out over a work-stealing pool; each worker
-//    evaluates the Eval(1, ...) continuation with worker-local suffix caches
-//    and stats, and morsel outputs merge in driver order so results are
-//    byte-identical to the serial path.
+// One plan loop (RunTopKPlans) serves both engines: it walks the plan-DAG
+// schedule on the calling thread, smallest networks first, and stops at
+// global_k — exact by construction, because plans finish in schedule order.
+// A multi-step plan runs as partitions of its step-0 driver rows (contiguous
+// morsels in the single engine, slice groups in the sharded one); up to
+// QueryOptions::num_threads partitions run at once on the process-wide pool,
+// each runner with its own evaluator, and a position-ordered gather under a
+// k-th-position watermark keeps exactly the serial result prefix.
 //
 // Semi-join keyword pruning: per plan step, the keyword filter sets are
 // intersected and the join columns later steps probe are summarized into
@@ -28,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -104,44 +103,43 @@ class PlanLayout {
   std::vector<std::vector<exec::ColumnBloom>> step_blooms_;
 };
 
+/// The work of one multi-step plan, cut into partitions for the plan loop.
+/// Items are step-0 driver rows, or rows of a materialized shared prefix when
+/// `prefix` is set, listed partition by partition; each partition's items
+/// ascend in serial enumeration order.
+struct PlanPartitions {
+  /// Driver rows (empty when replaying `prefix` or scanning lazily).
+  std::vector<storage::RowId> driver;
+  const exec::MaterializedSubplan* prefix = nullptr;
+  /// One partition of one item, the whole plan: step 0 is scanned as the
+  /// nested loops go, so an early stop also cuts the driver scan short.
+  bool scan_driver = false;
+  /// Partition i holds items [bounds[i], bounds[i + 1]).
+  std::vector<size_t> bounds;
+  /// Serial position of item j: its driver row id when set (the partitions
+  /// interleave in row order), else j itself (contiguous partitions).
+  bool row_positions = false;
+
+  size_t num_partitions() const { return bounds.empty() ? 0 : bounds.size() - 1; }
+  uint64_t Position(size_t j) const { return row_positions ? driver[j] : j; }
+};
+
 /// Evaluates one CTSSN plan by depth-first nested loops with optional suffix
-/// memoization. Not thread-safe: the morsel-driven path creates one evaluator
-/// shard per pool worker (worker-local caches and stats) over a shared
-/// PlanLayout.
+/// memoization. Not thread-safe: each partition runner of the plan loop owns
+/// one evaluator (its own caches and stats) over a shared PlanLayout.
 class PlanEvaluator {
  public:
   PlanEvaluator(const PlanLayout* layout, exec::ExecOptions exec_options,
                 bool enable_cache, size_t cache_capacity);
 
-  /// Runs to completion or until `emit` declines.
-  /// `emit` receives the objects per CTSSN occurrence.
-  void Run(const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-
-  /// Evaluates the continuation of a morsel of step-0 driver row ids (as
-  /// enumerated by EnumerateDriverMatches): binds each driver row, then runs
-  /// the nested loops from step 1. Emission order within the morsel equals
-  /// the serial order.
-  void RunMorsel(std::span<const storage::RowId> driver_rows,
-                 const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-
-  /// Like RunMorsel, but with per-driver-row hooks for callers that need to
-  /// attribute results to rows or stop between rows: `gate(i)` (may be null)
-  /// is consulted before driver_rows[i] is bound — returning false ends the
-  /// run — and `emit` receives the span index of the driver row that produced
-  /// each result. The sharded scatter stage uses the gate to poll the gather
-  /// watermark and the index to tag results with their global position.
-  void RunDriverRows(
-      std::span<const storage::RowId> driver_rows,
-      const std::function<bool(size_t)>& gate,
-      const std::function<bool(size_t, const std::vector<storage::ObjectId>&)>& emit);
-
-  /// Replays prefix rows [begin, end) of a materialized shared subplan: binds
-  /// the prefix steps from the stored row ids (no probes), then runs the
-  /// nested loops from the first unshared step. Replay order equals the
-  /// producer's enumeration order, so output is byte-identical to evaluating
-  /// the prefix directly. `prefix.arity()` must not exceed the plan's steps.
-  void RunReplay(const exec::MaterializedSubplan& prefix, size_t begin, size_t end,
-                 const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
+  /// Evaluates item `j` of `work`: binds its step-0 driver row — or, for a
+  /// replayed shared prefix, the prefix steps from the stored row ids (no
+  /// probes); nothing for a lazy driver scan — then runs the nested loops
+  /// over the remaining steps. Output order equals the serial nested-loop
+  /// order. Returns false once `emit` declined or a cancel or dry row gate
+  /// cut the run.
+  bool RunItem(const PlanPartitions& work, size_t j,
+               const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
 
   const ExecutionStats& stats() const { return stats_; }
 
@@ -160,10 +158,6 @@ class PlanEvaluator {
   bool Eval(size_t i, std::vector<storage::TupleView>* rows,
             std::vector<storage::ObjectId>* objs,
             const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
-  /// Binds step 0 to driver row `r`, then evaluates steps 1..n.
-  bool EvalDriverRow(storage::RowId r, std::vector<storage::TupleView>* rows,
-                     std::vector<storage::ObjectId>* objs,
-                     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit);
 
   void ProjectToCollectors(const std::vector<storage::ObjectId>& objs);
   std::string CacheKey(size_t i, const std::vector<storage::TupleView>& rows) const;
@@ -193,10 +187,13 @@ class PlanEvaluator {
   /// Per-depth row copies for the disk backend (RowInto): a depth's view must
   /// stay valid while deeper steps recurse, so each depth owns its scratch.
   std::vector<storage::Tuple> row_scratch_;
+  /// The current assignment: bound row per step, object per occurrence.
+  std::vector<storage::TupleView> rows_;
+  std::vector<storage::ObjectId> objs_;
 };
 
-/// Step-0 matches of `plan` in probe order — the driver rows the morsel
-/// scheduler partitions. Scan counters go to `stats` (nullable).
+/// Step-0 matches of `plan` in probe order — the driver rows the plan loop
+/// partitions. Scan counters go to `stats` (nullable).
 std::vector<storage::RowId> EnumerateDriverMatches(const PlanLayout& layout,
                                                    const exec::ExecOptions& options,
                                                    ExecutionStats* stats);
@@ -213,19 +210,54 @@ bool MaterializePrefixRows(const PlanLayout& layout, int depth,
                            const exec::MaterializedSubplan* base, size_t max_bytes,
                            ExecutionStats* stats, exec::MaterializedSubplan* out);
 
-/// Runs all plans of a prepared query with the thread pool, collecting up to
-/// per_network_k results per network (and optionally global_k in total).
-/// With options.intra_plan_threads > 1, plans run smallest-first one at a
-/// time, each parallelized across morsels of its driver matches; the result
-/// list is byte-identical to a single-threaded run.
-/// With options.enable_anytime and a cost budget or armed deadline, whole
-/// plans the budget cannot afford are skipped (cheapest-first schedule order)
-/// and `coverage` (nullable) reports the structured quality bound; with no
-/// budget the knob is inert and results are byte-identical to the pre-anytime
-/// engine.
-/// With a non-null `sink`, finalized result prefixes stream out as size
-/// classes exhaust (see engine/result_sink.h); the returned list is the same
-/// either way.
+/// Cuts a multi-step plan's work into partitions for RunTopKPlans.
+class PlanPartitioner {
+ public:
+  virtual ~PlanPartitioner() = default;
+
+  /// Whether Cut can partition the rows of a materialized shared prefix;
+  /// when false the plan loop never materializes one.
+  virtual bool replays_prefixes() const = 0;
+
+  /// The partitions of `layout`'s plan: of `prefix`'s rows when non-null,
+  /// else of its step-0 driver rows. Runs on the plan loop's thread; scan
+  /// counters go to `stats`.
+  virtual PlanPartitions Cut(const PlanLayout& layout, const QueryOptions& options,
+                             const exec::ExecOptions& exec_options,
+                             const exec::MaterializedSubplan* prefix,
+                             ExecutionStats* stats) const = 0;
+};
+
+/// The single-instance partitioner: contiguous morsels of `morsel_size`
+/// items when num_threads > 1; otherwise one partition, which scans step 0
+/// lazily unless it replays a prefix.
+class MorselPartitioner : public PlanPartitioner {
+ public:
+  bool replays_prefixes() const override { return true; }
+  PlanPartitions Cut(const PlanLayout& layout, const QueryOptions& options,
+                     const exec::ExecOptions& exec_options,
+                     const exec::MaterializedSubplan* prefix,
+                     ExecutionStats* stats) const override;
+};
+
+/// The top-k plan loop (Section 6): runs the plans of a prepared query in
+/// plan-DAG schedule order on the calling thread — smallest networks first,
+/// cost-ordered inside a size class — collecting up to per_network_k results
+/// per network and stopping once global_k exist. In one place it handles
+/// admission and the anytime budget (ProgressBudget, a pluggable policy:
+/// whole plans the budget cannot afford are skipped, and `coverage`
+/// (nullable) reports the quality bound), single-object plans, shared
+/// subplans, the result caps, and finalized-prefix streaming to `sink`
+/// (nullable; see engine/result_sink.h). Each multi-step plan is cut by
+/// `partitioner` and gathered in serial position order, so the result list is
+/// byte-identical for every partitioner and every num_threads.
+std::vector<present::Mtton> RunTopKPlans(const PreparedQuery& query,
+                                         const QueryOptions& options,
+                                         const PlanPartitioner& partitioner,
+                                         ExecutionStats* stats, Coverage* coverage,
+                                         ResultSink* sink);
+
+/// The single-instance top-k executor: RunTopKPlans over morsels.
 class TopKExecutor {
  public:
   TopKExecutor() = default;
@@ -244,11 +276,6 @@ void EvaluateSingleObjectPlan(
     const PreparedQuery& query, size_t plan_index,
     const std::function<bool(const std::vector<storage::ObjectId>&)>& emit,
     ExecutionStats* stats = nullptr);
-
-/// Serial-order cap on one plan's output given the results accumulated by the
-/// plans scheduled before it: the first `cap` results in driver/nested-loop
-/// order. Shared by the top-k executor and the sharded scatter-gather stage.
-size_t PlanResultCap(const QueryOptions& options, size_t results_so_far);
 
 /// Final ranking of every executor: stable sort by (score, ctssn_index,
 /// objects) — a total order on distinct values, so any execution order that

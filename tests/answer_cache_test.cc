@@ -80,12 +80,9 @@ TEST(AnswerCacheKeyTest, PerformanceKnobsAndServingContractDoNot) {
 
   QueryRequest other = base;
   other.options.num_threads = 16;
-  other.options.intra_plan_threads = 8;
   other.options.morsel_size = 7;
   other.options.enable_cache = false;
   other.options.enable_semijoin_pruning = false;
-  other.options.shard_parallelism = 8;
-  other.options.shard_bound_pushdown = false;
   EXPECT_EQ(AnswerCache::CanonicalKey(other), key);
   other = base;
   other.deadline = milliseconds(5);

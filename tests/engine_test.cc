@@ -332,8 +332,6 @@ TEST_F(EngineTest, PrepareValidatesQueryOptions) {
   options.num_threads = -1;
   EXPECT_TRUE(
       xk_->Prepare({"john"}, "MinClust", options).status().IsInvalidArgument());
-  options = QueryOptions();
-  options.intra_plan_threads = -3;
   EXPECT_TRUE(
       RunTopK(*xk_, {"john"}, "MinClust", options).status().IsInvalidArgument());
 }

@@ -64,7 +64,8 @@ TEST(WireTest, QueryFrameRoundTrip) {
   request.options.per_network_k = 7;
   request.options.global_k = 11;
   request.options.vectorized = false;
-  request.options.intra_plan_threads = 3;
+  request.options.num_threads = 3;
+  request.options.num_shards = 5;
   request.options.anytime_cost_budget = 123.5;
   request.options.full_mode = engine::FullMode::kHashJoin;
 
@@ -85,8 +86,8 @@ TEST(WireTest, QueryFrameRoundTrip) {
   EXPECT_EQ(decoded.options.per_network_k, request.options.per_network_k);
   EXPECT_EQ(decoded.options.global_k, request.options.global_k);
   EXPECT_EQ(decoded.options.vectorized, request.options.vectorized);
-  EXPECT_EQ(decoded.options.intra_plan_threads,
-            request.options.intra_plan_threads);
+  EXPECT_EQ(decoded.options.num_threads, request.options.num_threads);
+  EXPECT_EQ(decoded.options.num_shards, request.options.num_shards);
   EXPECT_EQ(decoded.options.anytime_cost_budget,
             request.options.anytime_cost_budget);
   EXPECT_EQ(decoded.options.full_mode, request.options.full_mode);
@@ -306,22 +307,20 @@ TEST_F(NetTest, StreamedResponsesMatchInProcessSubmit) {
         request.options.per_network_k = 5;
         request.options.vectorized = vectorized;
         request.options.global_k = global_k;
-        // Which results exist when the global-k early stop fires depends on
-        // inter-plan scheduling (a slow cheap-class plan can lose the race to
-        // pricier ones) — a pre-existing engine property, not a streaming
-        // one. Two in-process runs diverge the same way, so the differential
-        // pins global-k on the serial schedule, where it is deterministic.
-        if (global_k != 0) request.options.num_threads = 1;
         matrix.push_back(request);
       }
     }
   }
-  // Morsel-driven intra-plan parallelism and the cost-unordered legacy
-  // schedule exercise the streamer's other hook sites.
-  QueryRequest morsel = matrix[0];
-  morsel.options.intra_plan_threads = 3;
-  morsel.options.morsel_size = 8;
-  matrix.push_back(morsel);
+  // Partitioned plans (morsels on four runners, with and without a global
+  // bound) and the cost-unordered legacy schedule exercise the streamer's
+  // other hook sites.
+  for (size_t global_k : {size_t{0}, size_t{7}}) {
+    QueryRequest morsel = matrix[0];
+    morsel.options.num_threads = 4;
+    morsel.options.morsel_size = 8;
+    morsel.options.global_k = global_k;
+    matrix.push_back(morsel);
+  }
   QueryRequest legacy_order = matrix[0];
   legacy_order.options.cost_ordered_scheduling = false;
   matrix.push_back(legacy_order);

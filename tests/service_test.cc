@@ -323,9 +323,6 @@ TEST_F(ServiceTest, InvalidOptionsRejectedBeforeExecution) {
   request = Cheap({"gray"});
   request.options.num_threads = -1;
   EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
-  request = Cheap({"gray"});
-  request.options.intra_plan_threads = -2;
-  EXPECT_TRUE(xk_->Run(request).status().IsInvalidArgument());
   // Shared-subplan execution with a zero byte budget could never materialize
   // anything; Validate rejects the contradiction up front.
   request = Cheap({"gray"});

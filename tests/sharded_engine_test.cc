@@ -4,15 +4,19 @@
 // single-instance XKeyword oracle — same Mtton vectors, element for element —
 // across shard counts {1,2,3,4,8,16}, both kTopK and kAll, and every
 // result-affecting knob combination (vectorized on/off, subplan reuse +
-// cost-ordered scheduling on/off, intra-plan morsel parallelism, per-network
-// and global k bounds, watermark pushdown on/off). Plus partition invariants
-// of the slices themselves and the shard counters' plumbing.
+// cost-ordered scheduling on/off, default and four partition runners,
+// per-network and global k bounds). Plus partition invariants of the slices
+// themselves, the shard counters' plumbing, and a check that no query
+// creates threads.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -96,30 +100,34 @@ class ShardedDifferential : public ::testing::TestWithParam<int> {
 };
 
 /// The core matrix on the 8-slice engine: shard counts that divide, group
-/// (3 groups of 8 slices), exceed (16 > 8) the slice count, times both modes
-/// and both k bounds. Oracle runs serial (num_threads = 1) so a global_k
-/// budget consumes plans in the deterministic schedule the gather replays.
+/// (3 groups of 8 slices), exceed (16 > 8) the slice count, times both modes,
+/// both k bounds, and the default versus four partition runners on both
+/// engines. Plans finish in schedule order, so a global_k budget is exact
+/// under every runner count.
 TEST_P(ShardedDifferential, MatchesOracleAcrossShardCounts) {
   for (const auto& q : queries_) {
     for (int num_shards : {1, 2, 3, 4, 8, 16}) {
       for (size_t per_network_k : {size_t{10}, size_t{100}}) {
         for (size_t global_k : {size_t{0}, size_t{7}}) {
+          for (int threads : {QueryOptions().num_threads, 4}) {
           QueryOptions options;
           options.max_size_z = 4;
-          options.num_threads = 1;
+          options.num_threads = threads;
           options.per_network_k = per_network_k;
           options.global_k = global_k;
           options.num_shards = num_shards;
           const std::string what =
               q[0] + " " + q[1] + " shards=" + std::to_string(num_shards) +
               " k=" + std::to_string(per_network_k) +
-              " g=" + std::to_string(global_k);
+              " g=" + std::to_string(global_k) +
+              " threads=" + std::to_string(threads);
           ExpectIdentical(*oracle_, *sharded_[8],
                           MakeRequest(q, QueryMode::kTopK, options),
                           what + " topk");
           ExpectIdentical(*oracle_, *sharded_[8],
                           MakeRequest(q, QueryMode::kAll, options),
                           what + " all");
+          }
         }
       }
     }
@@ -132,7 +140,6 @@ TEST_P(ShardedDifferential, MatchesOracleAcrossSliceCounts) {
     for (const auto& [slices, engine] : sharded_) {
       QueryOptions options;
       options.max_size_z = 4;
-      options.num_threads = 1;
       options.num_shards = slices;
       const std::string what =
           q[0] + " " + q[1] + " slices=" + std::to_string(slices);
@@ -159,18 +166,16 @@ TEST_P(ShardedDifferential, MatchesOracleAcrossKnobs) {
       {"no_cache", [](QueryOptions* o) { o->enable_cache = false; }},
       {"no_bloom",
        [](QueryOptions* o) { o->enable_semijoin_pruning = false; }},
-      {"no_pushdown",
-       [](QueryOptions* o) { o->shard_bound_pushdown = false; }},
-      {"narrow_pool", [](QueryOptions* o) { o->shard_parallelism = 2; }},
-      {"intra_plan",
-       [](QueryOptions* o) { o->intra_plan_threads = 4; o->morsel_size = 8; }},
+      {"four_runners",
+       [](QueryOptions* o) { o->num_threads = 4; o->morsel_size = 8; }},
+      {"two_runners_global_k",
+       [](QueryOptions* o) { o->num_threads = 2; o->global_k = 3; }},
       {"tight_global_k", [](QueryOptions* o) { o->global_k = 3; }},
   };
   for (const auto& q : queries_) {
     for (const Variant& v : variants) {
       QueryOptions options;
       options.max_size_z = 4;
-      options.num_threads = 1;
       options.num_shards = 4;
       v.apply(&options);
       const std::string what = q[0] + " " + q[1] + " " + v.name;
@@ -251,29 +256,30 @@ TEST_P(ShardedDifferential, SlicesPartitionTheInstance) {
   }
 }
 
-/// The scatter-gather counters flow through ExecutionStats: fan-out counts
-/// groups per evaluated plan, pushdown prunes only exist when enabled.
+/// The gather counters flow through ExecutionStats: fan-out counts slice
+/// groups per evaluated plan, and with a tight bound the watermark prunes
+/// driver rows; the single-partition oracle reports none of them.
 TEST_P(ShardedDifferential, ShardCountersAreWired) {
   QueryOptions options;
   options.max_size_z = 4;
-  options.num_threads = 1;
   options.num_shards = 4;
   options.per_network_k = 1;  // tight bound => the watermark actually bites
+  uint64_t prunes = 0;
   for (const auto& q : queries_) {
     XK_ASSERT_OK_AND_ASSIGN(
         QueryResponse response,
         sharded_[4]->Run(MakeRequest(q, QueryMode::kTopK, options)));
+    XK_ASSERT_OK_AND_ASSIGN(
+        QueryResponse single,
+        oracle_->Run(MakeRequest(q, QueryMode::kTopK, options)));
+    EXPECT_EQ(response.mttons, single.mttons);
+    EXPECT_EQ(single.stats.shard_fanout, 0u);
+    EXPECT_EQ(single.stats.shard_bound_prunes, 0u);
     if (response.mttons.empty()) continue;
     EXPECT_GT(response.stats.shard_fanout, 0u);
-
-    options.shard_bound_pushdown = false;
-    XK_ASSERT_OK_AND_ASSIGN(
-        QueryResponse off,
-        sharded_[4]->Run(MakeRequest(q, QueryMode::kTopK, options)));
-    options.shard_bound_pushdown = true;
-    EXPECT_EQ(off.stats.shard_bound_prunes, 0u);
-    EXPECT_EQ(response.mttons, off.mttons);
+    prunes += response.stats.shard_bound_prunes;
   }
+  EXPECT_GT(prunes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDifferential, ::testing::Values(7, 42));
@@ -299,12 +305,15 @@ TEST(ShardedFigure1Test, MatchesOracleOnTpchInstance) {
   for (const auto& q : queries) {
     for (int num_shards : {2, 4, 8}) {
       QueryOptions options;
-      options.max_size_z = 4;
-      options.num_threads = 1;
+      options.max_size_z = 8;  // the paper's "John, VCR" results have sizes 6, 8
       options.per_network_k = 100;
       options.num_shards = num_shards;
       const std::string what =
           q[0] + " " + q[1] + " shards=" + std::to_string(num_shards);
+      XK_ASSERT_OK_AND_ASSIGN(
+          QueryResponse expected,
+          oracle->Run(MakeRequest(q, QueryMode::kTopK, options)));
+      EXPECT_FALSE(expected.mttons.empty()) << what;
       ExpectIdentical(*oracle, *sharded,
                       MakeRequest(q, QueryMode::kTopK, options), what + " topk");
       ExpectIdentical(*oracle, *sharded,
@@ -321,12 +330,12 @@ TEST(ShardedFigure1Test, SingleShardAndNaiveDelegateToInner) {
       decomp::MakeXKeyword(*db->tss, /*B=*/2, /*M=*/4).MoveValueUnsafe()));
 
   QueryOptions options;
-  options.max_size_z = 4;
-  options.num_threads = 1;
+  options.max_size_z = 8;  // the paper's "John, VCR" results have sizes 6, 8
   QueryRequest request =
       MakeRequest({"john", "vcr"}, QueryMode::kTopK, options);
   XK_ASSERT_OK_AND_ASSIGN(QueryResponse one, sharded->Run(request));
   XK_ASSERT_OK_AND_ASSIGN(QueryResponse inner, sharded->inner().Run(request));
+  EXPECT_FALSE(inner.mttons.empty());
   EXPECT_EQ(one.mttons, inner.mttons);
   EXPECT_EQ(one.stats.shard_fanout, 0u);  // delegated, never scattered
 
@@ -349,18 +358,78 @@ TEST(ShardedFigure1Test, ValidateRejectsBadShardOptions) {
   QueryOptions bad_shards;
   bad_shards.num_shards = 0;
   EXPECT_TRUE(bad_shards.Validate().IsInvalidArgument());
-  QueryOptions bad_parallelism;
-  bad_parallelism.shard_parallelism = -1;
-  EXPECT_TRUE(bad_parallelism.Validate().IsInvalidArgument());
+  QueryOptions bad_threads;
+  bad_threads.num_threads = -1;
+  EXPECT_TRUE(bad_threads.Validate().IsInvalidArgument());
 
   // The full Run path rejects them in Prepare, before any work happens.
   QueryRequest request = MakeRequest({"john", "vcr"}, QueryMode::kTopK, {});
   request.options.num_shards = 2;  // sharded path...
-  request.options.shard_parallelism = -1;  // ...with a nonsensical pool
+  request.options.num_threads = -1;  // ...with a nonsensical runner count
   EXPECT_TRUE(sharded->Run(request).status().IsInvalidArgument());
-  request.options.shard_parallelism = 0;
+  request.options.num_threads = 1;
   request.options.num_shards = -3;
   EXPECT_TRUE(sharded->inner().Run(request).status().IsInvalidArgument());
+}
+
+/// Live threads of this process.
+size_t LiveThreads() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Partitions run on the process-wide pool, so after one warm-up query no
+/// query creates a thread: a watcher samples the live thread count while 50
+/// partitioned queries run on the single engine, sharded top-k and sharded
+/// kAll, and the count never rises above its baseline.
+TEST(ShardedFigure1Test, QueriesCreateNoThreads) {
+  auto db = testing::MakeFigure1Database();
+  ShardedEngineOptions engine_options;
+  engine_options.num_slices = 4;
+  auto sharded = ShardedEngine::Load(&db->graph, &db->schema, db->tss.get(),
+                                     engine_options)
+                     .MoveValueUnsafe();
+  XK_ASSERT_OK(sharded->AddDecomposition(
+      decomp::MakeXKeyword(*db->tss, /*B=*/2, /*M=*/4).MoveValueUnsafe()));
+
+  QueryOptions options;
+  options.max_size_z = 8;  // the paper's "John, VCR" results have sizes 6, 8
+  options.num_threads = 4;
+  options.morsel_size = 1;  // many partitions on the single engine too
+  QueryRequest single = MakeRequest({"john", "vcr"}, QueryMode::kTopK, options);
+  QueryRequest topk = single;
+  topk.options.num_shards = 4;
+  QueryRequest all = topk;
+  all.mode = QueryMode::kAll;
+  XK_ASSERT_OK_AND_ASSIGN(QueryResponse warm_up, sharded->Run(topk));
+  ASSERT_FALSE(warm_up.mttons.empty());
+  ASSERT_GT(warm_up.stats.shard_fanout, 0u);  // partitions really ran
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> peak{0};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      size_t now = LiveThreads();
+      size_t seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::yield();
+    }
+  });
+  const size_t baseline = LiveThreads();
+  for (int i = 0; i < 50; ++i) {
+    XK_ASSERT_OK(sharded->inner().Run(single).status());
+    XK_ASSERT_OK(sharded->Run(topk).status());
+    XK_ASSERT_OK(sharded->Run(all).status());
+  }
+  done.store(true);
+  watcher.join();
+  EXPECT_LE(peak.load(), baseline);
+  EXPECT_LT(LiveThreads(), baseline);  // the watcher is gone
 }
 
 }  // namespace

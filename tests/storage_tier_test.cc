@@ -642,8 +642,7 @@ TEST_F(DiskBackendDifferential, MorselParallelismIdentical) {
   for (const auto& q : queries_) {
     QueryOptions options;
     options.max_size_z = 4;
-    options.num_threads = 1;
-    options.intra_plan_threads = 4;
+    options.num_threads = 4;
     options.morsel_size = 2;
     const QueryRequest request = MakeRequest(q, QueryMode::kTopK, options);
     auto expected = oracle_->Run(request);

@@ -1,7 +1,7 @@
-// Tests for the morsel-driven intra-plan path and semi-join pruning of the
-// top-k executor: byte-identical results vs the serial path across early-stop
-// settings, pruning that never changes results while skipping probe work, and
-// stats coverage of single-object plans.
+// Tests for the top-k plan loop and semi-join pruning: partitioned (morsel)
+// runs byte-identical to the serial path across early-stop settings, an exact
+// global-k at default options, pruning that never changes results while
+// skipping probe work, and stats coverage of single-object plans.
 
 #include <gtest/gtest.h>
 
@@ -49,9 +49,9 @@ class TopKExecutorTest : public ::testing::Test {
 datagen::DblpDatabase* TopKExecutorTest::db_ = nullptr;
 XKeyword* TopKExecutorTest::xk_ = nullptr;
 
-// The morsel-driven path must reproduce the serial result list byte for byte
+// The partitioned path must reproduce the serial result list byte for byte
 // — same Mttons, same order — including under per-network and global early
-// stops, where the completed-prefix watermark decides when workers may quit.
+// stops, where the k-th-position watermark decides when runners may quit.
 TEST_F(TopKExecutorTest, ParallelMorselPathIsByteIdentical) {
   const std::vector<std::vector<std::string>> queries = {
       {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
@@ -63,9 +63,8 @@ TEST_F(TopKExecutorTest, ParallelMorselPathIsByteIdentical) {
       serial.per_network_k = 50;
       serial.global_k = global_k;
       serial.num_threads = 1;
-      serial.intra_plan_threads = 1;
       QueryOptions parallel = serial;
-      parallel.intra_plan_threads = 4;
+      parallel.num_threads = 4;
       parallel.morsel_size = 8;  // small: forces many morsels per plan
       for (const auto& q : queries) {
         XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
@@ -80,7 +79,7 @@ TEST_F(TopKExecutorTest, ParallelMorselPathIsByteIdentical) {
   }
 }
 
-// Morsel scheduling with caching disabled (the naive inner loops) must agree
+// Partitioned runs with caching disabled (the naive inner loops) must agree
 // with the serial naive run too — the merge logic is independent of caching.
 TEST_F(TopKExecutorTest, ParallelMatchesSerialWithoutCache) {
   QueryOptions serial;
@@ -89,13 +88,49 @@ TEST_F(TopKExecutorTest, ParallelMatchesSerialWithoutCache) {
   serial.enable_cache = false;
   serial.num_threads = 1;
   QueryOptions parallel = serial;
-  parallel.intra_plan_threads = 4;
+  parallel.num_threads = 4;
   parallel.morsel_size = 8;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                           RunTopK(*xk_, {"ullman", "widom"}, "MinClust", serial));
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> actual,
                           RunTopK(*xk_, {"ullman", "widom"}, "MinClust", parallel));
   EXPECT_EQ(actual, expected);
+}
+
+// Plans finish in schedule order, so a global_k bound is exact at the default
+// options and at four runners alike: repeated runs reproduce the serial
+// answer byte for byte and report it complete. Plans finishing out of
+// schedule order would let a larger class fill ranks the serial schedule
+// gives to a smaller one, which only repetition exposes.
+TEST_F(TopKExecutorTest, GlobalKDefaultMatchesSerial) {
+  const std::vector<std::vector<std::string>> queries = {
+      {"ullman", "widom"}, {"gray", "codd"}, {"stonebraker", "author47"}};
+  for (const std::string& decomposition :
+       {std::string("MinClust"), std::string("XKeyword")}) {
+    for (size_t global_k : {size_t{1}, size_t{3}, size_t{5}, size_t{10}}) {
+      for (const auto& q : queries) {
+        QueryRequest request;
+        request.keywords = q;
+        request.decomposition = decomposition;
+        request.options.global_k = global_k;
+        QueryRequest serial = request;
+        serial.options.num_threads = 1;
+        QueryRequest four = request;
+        four.options.num_threads = 4;
+        XK_ASSERT_OK_AND_ASSIGN(const QueryResponse expected, xk_->Run(serial));
+        for (int rep = 0; rep < 10; ++rep) {
+          for (const QueryRequest* r : {&request, &four}) {
+            XK_ASSERT_OK_AND_ASSIGN(const QueryResponse actual, xk_->Run(*r));
+            EXPECT_EQ(actual.mttons, expected.mttons)
+                << decomposition << " global_k=" << global_k << " " << q[0]
+                << "," << q[1] << " threads=" << r->options.num_threads
+                << " rep=" << rep;
+            EXPECT_EQ(actual.completeness, Completeness::kComplete);
+          }
+        }
+      }
+    }
+  }
 }
 
 // Semi-join pruning may only skip probes that cannot match: identical result
@@ -131,7 +166,7 @@ TEST_F(TopKExecutorTest, PruningPreservesResultsAndSkipsWork) {
   EXPECT_TRUE(any_skips);
 }
 
-// Pruning and morsel parallelism compose without changing results.
+// Pruning and partitioned runs compose without changing results.
 TEST_F(TopKExecutorTest, PruningComposesWithMorselParallelism) {
   QueryOptions base;
   base.max_size_z = 6;
@@ -140,7 +175,7 @@ TEST_F(TopKExecutorTest, PruningComposesWithMorselParallelism) {
   base.enable_semijoin_pruning = false;
   QueryOptions both = base;
   both.enable_semijoin_pruning = true;
-  both.intra_plan_threads = 4;
+  both.num_threads = 4;
   both.morsel_size = 8;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> expected,
                           RunTopK(*xk_, {"gray", "codd"}, "MinClust", base));
@@ -150,7 +185,7 @@ TEST_F(TopKExecutorTest, PruningComposesWithMorselParallelism) {
 }
 
 // Differential harness over the plan-DAG axes: subplan reuse {on, off} ×
-// vectorized {on, off} × intra-plan threads {1, 4} must all produce the
+// vectorized {on, off} × num_threads {1, 4} must all produce the
 // byte-identical result list (replay order equals the serial nested-loop
 // order; the schedule never depends on these knobs), and on queries whose
 // candidate networks share a join prefix the reuse runs must actually dedup
@@ -171,11 +206,11 @@ TEST_F(TopKExecutorTest, SubplanReuseDifferential) {
                               RunTopK(*xk_, q, decomposition, baseline));
       for (bool reuse : {false, true}) {
         for (bool vectorized : {false, true}) {
-          for (int intra : {1, 4}) {
+          for (int threads : {1, 4}) {
             QueryOptions options = baseline;
             options.enable_subplan_reuse = reuse;
             options.vectorized = vectorized;
-            options.intra_plan_threads = intra;
+            options.num_threads = threads;
             options.morsel_size = 8;
             ExecutionStats stats;
             XK_ASSERT_OK_AND_ASSIGN(
@@ -183,7 +218,7 @@ TEST_F(TopKExecutorTest, SubplanReuseDifferential) {
                 RunTopK(*xk_, q, decomposition, options, &stats));
             EXPECT_EQ(actual, expected)
                 << decomposition << " reuse=" << reuse << " vec=" << vectorized
-                << " intra=" << intra << " " << q[0] << "," << q[1];
+                << " threads=" << threads << " " << q[0] << "," << q[1];
             if (reuse) {
               total_saved += stats.dedup_saved_rows;
             } else {
@@ -268,9 +303,9 @@ TEST_F(TopKExecutorTest, SingleObjectPlansRecordStats) {
   EXPECT_GT(stats.probes.probes, 0u);
   EXPECT_GT(stats.probes.rows_scanned, 0u);
 
-  // The intra-plan scheduler takes the same single-object shortcut.
+  // Partitioned runs take the same single-object shortcut.
   QueryOptions parallel = options;
-  parallel.intra_plan_threads = 4;
+  parallel.num_threads = 4;
   ExecutionStats parallel_stats;
   XK_ASSERT_OK_AND_ASSIGN(std::vector<Mtton> parallel_results,
                           RunTopK(*xk_, {"ullman"}, "MinClust", parallel, &parallel_stats));
