@@ -12,8 +12,21 @@
 //                    to T = 1;
 //   Fig15aPrune/*  — semi-join Bloom pruning on/off (rows_scanned drops,
 //                    bloom_skips counts rejected probes).
+//
+// And the layer under pruning, the per-query semi-join Bloom builds:
+//   BM_BloomBuildScan  — every filter by one filtered full scan (the build
+//                        before the table memo and the probe build);
+//   BM_BloomBuildMemo  — unfiltered steps from the table's column memo,
+//                        filtered steps still scanned;
+//   BM_BloomBuildProbe — the engine's build: the memo, plus index probes of
+//                        the smallest keyword set where ChooseBloomBuild
+//                        picks them.
+// All three build bit-identical filters; build_rows/query is the rows the
+// builds touch (engine counter bloom_build_rows).
 
 #include <benchmark/benchmark.h>
+
+#include <set>
 
 #include "bench_util.h"
 #include "engine/topk_executor.h"
@@ -69,6 +82,72 @@ void BM_TopK(benchmark::State& state, const TopKSetup& setup, size_t k,
   state.counters["bloom_skips"] =
       benchmark::Counter(static_cast<double>(bloom_skips) / per_query);
   state.SetLabel(label);
+}
+
+enum class BloomBuildSeries { kScan, kMemo, kProbe };
+
+void BM_BloomBuild(benchmark::State& state, BloomBuildSeries series) {
+  using xk::engine::BloomBuild;
+  auto& fixture = xk::bench::DblpBench::Get();
+  const auto& prepared = fixture.Prepared("XKeyword", /*z=*/8);
+
+  // The filters one query builds: one per probed column of every step >= 1,
+  // once per step signature — what the engine's per-query BloomCache asks for.
+  struct Build {
+    const xk::exec::JoinStep* step;
+    int column;
+    BloomBuild path;
+  };
+  std::vector<std::vector<Build>> query_builds;
+  for (const xk::engine::PreparedQuery& q : prepared) {
+    std::vector<Build>& builds = query_builds.emplace_back();
+    std::set<std::string> seen;
+    for (const xk::opt::CtssnPlan& plan : q.plans) {
+      for (size_t i = 1; i < plan.query.steps.size(); ++i) {
+        const xk::exec::JoinStep& step = plan.query.steps[i];
+        for (const auto& [column, ref] : step.eq) {
+          (void)ref;
+          if (!seen.insert(plan.step_signatures[i] + "#" + std::to_string(column))
+                   .second) {
+            continue;
+          }
+          BloomBuild path =
+              xk::engine::ChooseBloomBuild(step, q.exec_options.use_indexes);
+          if (series == BloomBuildSeries::kScan ||
+              (series == BloomBuildSeries::kMemo && path == BloomBuild::kProbe)) {
+            path = BloomBuild::kScan;
+          }
+          // Steady state: the one-time memo build is not a per-query cost.
+          if (path == BloomBuild::kMemo) (void)step.table->ColumnBloom(column);
+          builds.push_back({&step, column, path});
+        }
+      }
+    }
+  }
+
+  uint64_t rows = 0;
+  uint64_t filters = 0;
+  for (auto _ : state) {
+    for (const std::vector<Build>& builds : query_builds) {
+      for (const Build& b : builds) {
+        if (b.path == BloomBuild::kMemo) {
+          benchmark::DoNotOptimize(&b.step->table->ColumnBloom(b.column, &rows));
+        } else {
+          xk::exec::ProbeStats stats;
+          auto filter = xk::engine::BuildStepBloom(*b.step, b.column, b.path, &stats);
+          benchmark::DoNotOptimize(filter);
+          rows += stats.rows_scanned;
+        }
+        ++filters;
+      }
+    }
+  }
+  const double per_query =
+      static_cast<double>(state.iterations() * prepared.size());
+  state.counters["build_rows/query"] =
+      benchmark::Counter(static_cast<double>(rows) / per_query);
+  state.counters["filters/query"] =
+      benchmark::Counter(static_cast<double>(filters) / per_query);
 }
 
 void RegisterAll() {
@@ -134,6 +213,15 @@ void RegisterAll() {
         });
     b->Unit(benchmark::kMillisecond);
     b->Iterations(3);
+  }
+
+  for (const auto& [name, series] :
+       {std::pair{"BM_BloomBuildScan/XKeyword", BloomBuildSeries::kScan},
+        std::pair{"BM_BloomBuildMemo/XKeyword", BloomBuildSeries::kMemo},
+        std::pair{"BM_BloomBuildProbe/XKeyword", BloomBuildSeries::kProbe}}) {
+    auto* b = benchmark::RegisterBenchmark(
+        name, [series](benchmark::State& state) { BM_BloomBuild(state, series); });
+    b->Unit(benchmark::kMicrosecond);
   }
 }
 

@@ -322,7 +322,7 @@ Result<std::vector<present::Mtton>> FullExecutor::Run(const PreparedQuery& query
                                                       Coverage* coverage) {
   std::vector<present::Mtton> results;
   opt::MaterializedViewCache cache;
-  BloomCache bloom_cache;
+  BloomCache bloom_cache(query.exec_options.use_indexes);
   BloomCache* bloom_cache_ptr =
       options_.enable_semijoin_pruning ? &bloom_cache : nullptr;
 

@@ -233,8 +233,10 @@ struct ExecutionStats {
   uint64_t results = 0;
   uint64_t reuse_hits = 0;
   uint64_t reuse_misses = 0;
-  /// Rows streamed while building semi-join Bloom filters (one filtered scan
-  /// per distinct step signature; kept apart from probe-time rows_scanned).
+  /// Rows touched while building semi-join Bloom filters: index probes or one
+  /// filtered scan per distinct filtered step signature, plus the one scan of
+  /// a table column memo this query happened to build first (memo hits add 0).
+  /// Kept apart from probe-time rows_scanned.
   uint64_t bloom_build_rows = 0;
   /// Plan-DAG shared-subplan cache (opt::SubplanCache): consumers served from
   /// a materialized prefix / leader productions / high-water cached bytes /

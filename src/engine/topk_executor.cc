@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -16,10 +17,83 @@ namespace xk::engine {
 
 // --- BloomCache ----------------------------------------------------------
 
+namespace {
+
+/// The step's keyword set with the fewest ids, or null when it has none.
+const exec::ColumnInSet* SmallestInFilter(const exec::JoinStep& step) {
+  const exec::ColumnInSet* smallest = nullptr;
+  for (const exec::ColumnInSet& f : step.in_filters) {
+    if (smallest == nullptr || f.set->size() < smallest->set->size()) {
+      smallest = &f;
+    }
+  }
+  return smallest;
+}
+
+}  // namespace
+
+BloomBuild ChooseBloomBuild(const exec::JoinStep& step, bool use_indexes) {
+  if (step.const_filters.empty() && step.in_filters.empty()) {
+    return step.table->frozen() ? BloomBuild::kMemo : BloomBuild::kScan;
+  }
+  const exec::ColumnInSet* smallest = SmallestInFilter(step);
+  if (!use_indexes || smallest == nullptr) return BloomBuild::kScan;
+  const storage::Table& table = *step.table;
+  const exec::ExecOptions opts;
+  if (exec::ChooseAccessPath(table, {{smallest->column, storage::kInvalidId}},
+                             opts) == exec::AccessPathKind::kFullScan) {
+    return BloomBuild::kScan;
+  }
+  // |S| lookups of ~log2 N comparisons each against one pass over N rows.
+  const uint64_t n = table.NumRows();
+  const uint64_t log2_n = n > 1 ? std::bit_width(n - 1) : 1;
+  return smallest->set->size() * log2_n < n ? BloomBuild::kProbe
+                                            : BloomBuild::kScan;
+}
+
+std::unique_ptr<storage::BloomFilter> BuildStepBloom(const exec::JoinStep& step,
+                                                     int column, BloomBuild path,
+                                                     exec::ProbeStats* stats) {
+  XK_CHECK(path != BloomBuild::kMemo);
+  const storage::Table& table = *step.table;
+  auto filter = std::make_unique<storage::BloomFilter>(table.NumRows());
+  // No cancel token: a truncated filter would reject live probes.
+  storage::TableReadCursor rows(table);
+  auto add = [&](storage::RowId r) {
+    filter->Add(rows.At(r, column));
+    return true;
+  };
+  if (path == BloomBuild::kScan) {
+    exec::ExecOptions no_index{.use_indexes = false};
+    exec::ForEachMatch(table, step.const_filters, step.in_filters, no_index, add,
+                       stats);
+    return filter;
+  }
+  // Each row whose column holds a value of S matches exactly one probe, so
+  // the probes visit exactly the rows the scan keeps.
+  const exec::ColumnInSet* smallest = SmallestInFilter(step);
+  XK_CHECK(smallest != nullptr);
+  std::vector<exec::ColumnBinding> bindings = step.const_filters;
+  bindings.push_back({smallest->column, storage::kInvalidId});
+  const exec::ExecOptions with_index;
+  for (storage::ObjectId v : *smallest->set) {
+    bindings.back().value = v;
+    exec::ForEachMatch(table, bindings, step.in_filters, with_index, add, stats);
+  }
+  return filter;
+}
+
 const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
                                                    const std::string& signature,
                                                    int column,
                                                    ExecutionStats* build_stats) {
+  const BloomBuild path = ChooseBloomBuild(step, use_indexes_);
+  if (path == BloomBuild::kMemo) {
+    uint64_t rows = 0;
+    const storage::BloomFilter* memo = &step.table->ColumnBloom(column, &rows);
+    if (build_stats != nullptr) build_stats->bloom_build_rows += rows;
+    return memo;
+  }
   std::string key = signature;
   key.push_back('#');
   key += std::to_string(column);
@@ -27,18 +101,9 @@ const storage::BloomFilter* BloomCache::GetOrBuild(const exec::JoinStep& step,
   auto it = filters_.find(key);
   if (it != filters_.end()) return it->second.get();
 
-  auto filter = std::make_unique<storage::BloomFilter>(step.table->NumRows());
-  exec::ProbeStats scan_stats;
-  exec::ExecOptions no_index{.use_indexes = false};
-  exec::ForEachMatch(*step.table, step.const_filters, step.in_filters, no_index,
-                     [&](storage::RowId r) {
-                       filter->Add(step.table->At(r, column));
-                       return true;
-                     },
-                     &scan_stats);
-  if (build_stats != nullptr) {
-    build_stats->bloom_build_rows += scan_stats.rows_scanned;
-  }
+  exec::ProbeStats build;
+  auto filter = BuildStepBloom(step, column, path, &build);
+  if (build_stats != nullptr) build_stats->bloom_build_rows += build.rows_scanned;
   return filters_.emplace(std::move(key), std::move(filter)).first->second.get();
 }
 
@@ -608,7 +673,7 @@ std::vector<present::Mtton> RunTopKPlans(const PreparedQuery& query,
                                          ResultSink* sink) {
   std::vector<present::Mtton> results;
   std::vector<ExecutionStats> per_plan_stats(query.plans.size());
-  BloomCache bloom_cache;
+  BloomCache bloom_cache(query.exec_options.use_indexes);
   BloomCache* bloom_cache_ptr =
       options.enable_semijoin_pruning ? &bloom_cache : nullptr;
 

@@ -47,20 +47,54 @@ namespace xk::engine {
 using MttonSink = std::function<bool(int plan_index,
                                      const std::vector<storage::ObjectId>& objects)>;
 
+/// How a step's semi-join Bloom filter collects its keys. Every path yields
+/// a bit-identical filter (a Bloom filter's bits do not depend on insertion
+/// order); they differ only in the rows they touch.
+enum class BloomBuild {
+  /// No local filters on a frozen table: the table's whole-column filter,
+  /// built once and shared by every later query (storage::Table::ColumnBloom).
+  kMemo,
+  /// One index probe per value of the step's smallest keyword set S: its
+  /// column leads an index (clustering key, composite or hash index) and
+  /// |S|·⌈log2 N⌉ < N for the N-row table.
+  kProbe,
+  /// One full scan of the table applying the step's local filters.
+  kScan,
+};
+
+/// The path BloomCache takes for `step`. With `use_indexes` false (the
+/// query's exec::ExecOptions, e.g. the MinNClustNIndx policy) filtered steps
+/// always scan.
+BloomBuild ChooseBloomBuild(const exec::JoinStep& step, bool use_indexes);
+
+/// A fresh filter over `column` values of the rows of `step.table` passing
+/// the step's local filters, collected along `path`: kScan, or kProbe for a
+/// step with a keyword set (correct on any step that has one; cheap where
+/// ChooseBloomBuild picks it). `stats` (nullable) receives the rows touched.
+std::unique_ptr<storage::BloomFilter> BuildStepBloom(const exec::JoinStep& step,
+                                                     int column, BloomBuild path,
+                                                     exec::ProbeStats* stats);
+
 /// Cache of semi-join Bloom filters shared across the plans of one query.
 /// Keyed by (step signature, column): plans frequently share steps (same
-/// relation + local keyword filters), so each filter is built — one filtered
-/// scan — at most once per query. Thread-safe.
+/// relation + local keyword filters), so each filtered filter is built — by
+/// index probes or one filtered scan — at most once per query. Unfiltered
+/// steps are served from the table's memo and never built per query.
+/// Thread-safe.
 class BloomCache {
  public:
+  /// `use_indexes`: the query's exec::ExecOptions::use_indexes.
+  explicit BloomCache(bool use_indexes) : use_indexes_(use_indexes) {}
+
   /// The filter over `column` values of rows of `step.table` passing the
   /// step's local filters; built on first use. `build_stats` (nullable)
-  /// receives the build scan's row count.
+  /// receives the rows the build touched (0 for a memo hit).
   const storage::BloomFilter* GetOrBuild(const exec::JoinStep& step,
                                          const std::string& signature, int column,
                                          ExecutionStats* build_stats);
 
  private:
+  const bool use_indexes_;
   std::mutex mutex_;
   std::map<std::string, std::unique_ptr<storage::BloomFilter>> filters_;
 };

@@ -144,38 +144,47 @@ CompositeIndex::CompositeIndex(const Table& table, std::vector<int> key_columns)
   });
 }
 
-int CompositeIndex::ComparePrefix(RowId row, TupleView prefix) const {
-  for (size_t i = 0; i < prefix.size(); ++i) {
-    ObjectId v = table_.At(row, key_columns_[i]);
-    if (v < prefix[i]) return -1;
-    if (v > prefix[i]) return 1;
-  }
-  return 0;
-}
-
-RowId CompositeIndex::OrderAt(size_t i) const {
-  if (paged_ == nullptr) return order_[i];
-  const size_t page_index = i / paged_->entries_per_page;
-  PageHandle h = paged_->tier->pool()->Pin(
-      paged_->first_page + static_cast<PageNo>(page_index));
-  const RowId* entries = reinterpret_cast<const RowId*>(h.payload());
-  return entries[i - page_index * paged_->entries_per_page];
-}
-
 std::pair<size_t, size_t> CompositeIndex::PrefixRange(TupleView prefix) const {
   XK_CHECK_LE(prefix.size(), key_columns_.size());
-  // partition_point over entry positions; every probe reads the entry (one
-  // page pin when spilled) and compares its row's key prefix.
+  // Both binary searches share one row cursor and one pin on the last
+  // ordering page read, so on disk a probe that stays on the held page (as
+  // the late probes of each search do) pins nothing new.
+  TableReadCursor rows(table_);
+  PageHandle order_pin;
+  const RowId* entries = order_.data();
+  size_t entries_begin = 0;
+  size_t entries_end = paged_ == nullptr ? num_entries_ : 0;
+  auto entry = [&](size_t i) -> RowId {
+    if (i < entries_begin || i >= entries_end) {
+      const size_t page_index = i / paged_->entries_per_page;
+      order_pin = paged_->tier->pool()->Pin(
+          paged_->first_page + static_cast<PageNo>(page_index));
+      entries = reinterpret_cast<const RowId*>(order_pin.payload());
+      entries_begin = page_index * paged_->entries_per_page;
+      entries_end = entries_begin + paged_->entries_per_page;
+    }
+    return entries[i - entries_begin];
+  };
+  // Compares entry `i`'s key against `prefix` on its first prefix.size()
+  // key columns.
+  auto compare = [&](size_t i) {
+    const RowId row = entry(i);
+    for (size_t c = 0; c < prefix.size(); ++c) {
+      const ObjectId v = rows.At(row, key_columns_[c]);
+      if (v != prefix[c]) return v < prefix[c] ? -1 : 1;
+    }
+    return 0;
+  };
   size_t lo = 0, hi = num_entries_;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (ComparePrefix(OrderAt(mid), prefix) < 0) lo = mid + 1; else hi = mid;
+    if (compare(mid) < 0) lo = mid + 1; else hi = mid;
   }
   const size_t lower = lo;
   hi = num_entries_;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    if (ComparePrefix(OrderAt(mid), prefix) == 0) lo = mid + 1; else hi = mid;
+    if (compare(mid) == 0) lo = mid + 1; else hi = mid;
   }
   return {lower, lo};
 }

@@ -77,6 +77,11 @@ class BloomFilter {
   size_t num_keys_added() const { return num_keys_added_; }
   size_t MemoryBytes() const { return words_.capacity() * sizeof(uint64_t); }
 
+  /// Same size, hash count, bits and key count. Bits do not depend on the
+  /// order keys were added, so filters built over the same key multiset by
+  /// different access paths compare equal.
+  bool operator==(const BloomFilter&) const = default;
+
  private:
   std::vector<uint64_t> words_;
   uint64_t bit_mask_;  // total bits - 1 (bit count is a power of two)
@@ -121,8 +126,6 @@ class CompositeIndex {
     size_t num_pages;
   };
 
-  /// Entry `i` of the sorted ordering, pinning its page when spilled.
-  RowId OrderAt(size_t i) const;
   /// [lower, upper) of entries whose key starts with `prefix`.
   std::pair<size_t, size_t> PrefixRange(TupleView prefix) const;
 
@@ -131,9 +134,6 @@ class CompositeIndex {
   std::vector<RowId> order_;  // row ids sorted by key columns
   size_t num_entries_ = 0;
   std::unique_ptr<PagedOrder> paged_;
-
-  // Compares row `row` against `prefix` on the first prefix.size() key cols.
-  int ComparePrefix(RowId row, TupleView prefix) const;
 };
 
 }  // namespace xk::storage

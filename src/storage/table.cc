@@ -15,6 +15,7 @@ Table::Table(std::string name, std::vector<std::string> column_names)
       arity_(static_cast<int>(column_names_.size())) {
   XK_CHECK_GT(arity_, 0);
   distinct_cache_.resize(static_cast<size_t>(arity_));
+  column_blooms_.resize(static_cast<size_t>(arity_));
 }
 
 Result<int> Table::ColumnIndex(const std::string& name) const {
@@ -77,17 +78,20 @@ std::pair<RowId, RowId> Table::ClusteredRange(TupleView prefix) const {
   XK_CHECK(clustering_.has_value());
   XK_CHECK_LE(prefix.size(), clustering_->size());
   const std::vector<int>& key = *clustering_;
-  // Binary search over row positions (rows are physically sorted).
+  // Binary search over row positions (rows are physically sorted). One
+  // cursor serves both searches: on disk, probes landing on the page it
+  // holds pin nothing new.
+  TableReadCursor rows(*this);
   auto cmp_lower = [&](RowId r) {  // true if Row(r) < prefix
     for (size_t i = 0; i < prefix.size(); ++i) {
-      ObjectId v = At(r, key[i]);
+      ObjectId v = rows.At(r, key[i]);
       if (v != prefix[i]) return v < prefix[i];
     }
     return false;
   };
   auto cmp_upper = [&](RowId r) {  // true if Row(r) <= prefix
     for (size_t i = 0; i < prefix.size(); ++i) {
-      ObjectId v = At(r, key[i]);
+      ObjectId v = rows.At(r, key[i]);
       if (v != prefix[i]) return v < prefix[i];
     }
     return true;
@@ -151,6 +155,10 @@ size_t Table::MemoryBytes() const {
   size_t bytes = rows_.capacity() * sizeof(ObjectId);
   for (const auto& idx : hash_indexes_) bytes += idx->MemoryBytes();
   for (const auto& idx : composite_indexes_) bytes += idx->MemoryBytes();
+  std::lock_guard<std::mutex> lock(bloom_mu_);
+  for (const auto& bloom : column_blooms_) {
+    if (bloom != nullptr) bytes += bloom->MemoryBytes();
+  }
   return bytes;
 }
 
@@ -262,6 +270,25 @@ size_t Table::DistinctCount(int column) const {
     distinct_cache_[static_cast<size_t>(column)] = count;
   }
   return count;
+}
+
+const BloomFilter& Table::ColumnBloom(int column, uint64_t* rows_scanned) const {
+  XK_CHECK(column >= 0 && column < arity_);
+  XK_CHECK(frozen_);
+  // Built under the lock: racing first callers wait for the one build
+  // instead of each scanning the table.
+  std::lock_guard<std::mutex> lock(bloom_mu_);
+  std::unique_ptr<BloomFilter>& slot = column_blooms_[static_cast<size_t>(column)];
+  if (slot == nullptr) {
+    auto filter = std::make_unique<BloomFilter>(num_rows_);
+    TableReadCursor cursor(*this);
+    for (size_t r = 0; r < num_rows_; ++r) {
+      filter->Add(cursor.At(static_cast<RowId>(r), column));
+    }
+    slot = std::move(filter);
+    if (rows_scanned != nullptr) *rows_scanned += num_rows_;
+  }
+  return *slot;
 }
 
 }  // namespace xk::storage

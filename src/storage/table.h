@@ -34,9 +34,9 @@ class Table {
  public:
   Table(std::string name, std::vector<std::string> column_names);
 
-  // Movable despite the distinct-count mutex (the moved-to table gets a fresh
-  // one). Moving is only safe before the table is shared across threads or
-  // has secondary indexes, same as before the mutex existed.
+  // Movable despite the memo mutexes (the moved-to table gets fresh ones).
+  // Moving is only safe before the table is shared across threads or has
+  // secondary indexes, same as before the mutexes existed.
   Table(Table&& other) noexcept
       : name_(std::move(other.name_)),
         column_names_(std::move(other.column_names_)),
@@ -48,7 +48,8 @@ class Table {
         hash_indexes_(std::move(other.hash_indexes_)),
         composite_indexes_(std::move(other.composite_indexes_)),
         paged_(std::move(other.paged_)),
-        distinct_cache_(std::move(other.distinct_cache_)) {}
+        distinct_cache_(std::move(other.distinct_cache_)),
+        column_blooms_(std::move(other.column_blooms_)) {}
 
   const std::string& name() const { return name_; }
   int arity() const { return static_cast<int>(column_names_.size()); }
@@ -147,13 +148,23 @@ class Table {
   /// Page-file bytes consumed by the spilled rows (0 when in memory).
   size_t DiskBytes() const;
 
-  /// Heap footprint of rows + indexes, for the space ablation bench.
-  /// Spilled rows / orderings no longer count — see DiskBytes().
+  /// Heap footprint of rows + indexes + built column Blooms, for the space
+  /// ablation bench. Spilled rows / orderings no longer count — see
+  /// DiskBytes().
   size_t MemoryBytes() const;
 
   /// Distinct values in `column` (computed lazily, cached after Freeze()).
   /// Safe to call concurrently from multiple threads.
   size_t DistinctCount(int column) const;
+
+  /// Bloom filter over every value of `column`, sized for NumRows() keys at
+  /// the default bits/key — bit-identical to a filter built by scanning the
+  /// whole table. Requires Freeze(): the rows never change after it, so the
+  /// filter is built by one scan on first use and kept for the table's life
+  /// (at most one per column). Safe to call concurrently from multiple
+  /// threads. `rows_scanned` (nullable) is advanced by the rows the build
+  /// scanned: NumRows() on the call that builds it, 0 on every later one.
+  const BloomFilter& ColumnBloom(int column, uint64_t* rows_scanned = nullptr) const;
 
  private:
   friend class HashIndex;
@@ -190,6 +201,9 @@ class Table {
   /// readers before).
   mutable std::mutex distinct_mu_;
   mutable std::vector<std::optional<size_t>> distinct_cache_;
+  /// Per-column ColumnBloom memo; slots are filled once, under bloom_mu_.
+  mutable std::mutex bloom_mu_;
+  mutable std::vector<std::unique_ptr<BloomFilter>> column_blooms_;
 };
 
 /// Run-cached read cursor over one table, for loops that touch many rows.
